@@ -128,14 +128,12 @@ def emit_dot(primes, ranks=None, name="hspec") -> str:
 # -- subcommand handlers -------------------------------------------------------
 
 
-def _load(args) -> tuple[Presentation, str]:
-    source = _read_source(args.file)
-    p = dsl.parse(source)
-    return p.with_fuel(args.fuel), source
+def _load(args, source: str) -> Presentation:
+    return dsl.parse(source).with_fuel(args.fuel)
 
 
-def _cmd_verify(args):
-    p, source = _load(args)
+def _cmd_verify(args, source):
+    p = _load(args, source)
     reports = diamond_check(p)
     unresolved = [{"triple": [p.generators[t] for t in r.triple], "note": r.note}
                   for r in reports if not r.resolved]
@@ -143,20 +141,19 @@ def _cmd_verify(args):
                "unresolved": unresolved, "confluent": not unresolved}
     if unresolved:
         raise CliFailure("presentation is not confluent", results)
-    return results, source
+    return results
 
 
-def _cmd_nf(args):
-    p, source = _load(args)
+def _cmd_nf(args, source):
+    p = _load(args, source)
     element = dsl.evaluate_expression(p, args.expr)
     spec = _parse_specialize(args.specialize)
-    results = {"algebra": p.name, "expr": args.expr,
-               "terms": _term_list(p, element, spec), "zero": not element}
-    return results, source
+    return {"algebra": p.name, "expr": args.expr,
+            "terms": _term_list(p, element, spec), "zero": not element}
 
 
-def _cmd_hilbert(args):
-    p, source = _load(args)
+def _cmd_hilbert(args, source):
+    p = _load(args, source)
     from math import comb
     counts = []
     ok = True
@@ -168,7 +165,7 @@ def _cmd_hilbert(args):
     results = {"algebra": p.name, "counts": counts, "matches": ok}
     if not ok:
         raise CliFailure("graded dimension mismatch", results)
-    return results, source
+    return results
 
 
 def _matrix_data(args):
@@ -177,81 +174,72 @@ def _matrix_data(args):
     return zoo.generic_matrix_data(args.n)
 
 
-def _cmd_qdet(args):
+def _cmd_qdet(args, source):
     lam, p = _matrix_data(args)
     pres = zoo.quantum_matrices(args.n, args.n, lam, p).with_fuel(args.fuel)
     det = qdet.quantum_determinant(args.n, lam, p)
     spec = _parse_specialize(args.specialize)
-    source = f"qdet n={args.n} single_param={args.single_param}"
-    results = {"n": args.n, "single_param": args.single_param,
-               "terms": _term_list(pres, det, spec)}
-    return results, source
+    return {"n": args.n, "single_param": args.single_param,
+            "terms": _term_list(pres, det, spec)}
 
 
-def _cmd_qdet_verify(args):
+def _cmd_qdet_verify(args, source):
     lam, p = _matrix_data(args)
     report = qdet.verify_det_normality(args.n, lam, p)
-    source = f"qdet-verify n={args.n} single_param={args.single_param}"
     results = {"n": args.n, "single_param": args.single_param,
                "identities": [{"i": r.i, "j": r.j, "ok": r.ok} for r in report.identities],
                "passed": report.passed}
     if not report.passed:
         raise CliFailure("determinant normality failed", results)
-    return results, source
+    return results
 
 
-def _cmd_sl_check(args):
+def _cmd_sl_check(args, source):
     lam, p = _matrix_data(args)
-    central = qdet.sl_condition(args.n, lam, p)
     common = qdet.sl_common_value(args.n, lam, p)
-    source = f"sl-check n={args.n} single_param={args.single_param}"
-    results = {"n": args.n, "single_param": args.single_param, "central": central,
-               "common_value": str(common) if common is not None else None}
-    return results, source
+    return {"n": args.n, "single_param": args.single_param, "central": common is not None,
+            "common_value": str(common) if common is not None else None}
 
 
-def _cmd_weights(args):
-    p, source = _load(args)
+def _cmd_weights(args, source):
+    p = _load(args, source)
     element = dsl.evaluate_expression(p, args.expr)
     w = is_homogeneous(p, element)
     terms = [{"monomial": list(exp), "weight": list(weight_of(p, exp))}
              for exp in sorted(element.terms, key=order_key, reverse=True)]
-    results = {"algebra": p.name, "expr": args.expr, "terms": terms,
-               "homogeneous": w is not None,
-               "weight": list(w) if w is not None else None}
-    return results, source
+    return {"algebra": p.name, "expr": args.expr, "terms": terms,
+            "homogeneous": w is not None,
+            "weight": list(w) if w is not None else None}
 
 
-def _cmd_eigencheck(args):
-    p, source = _load(args)
+def _cmd_eigencheck(args, source):
+    p = _load(args, source)
     element = dsl.evaluate_expression(p, args.expr)
     w = is_homogeneous(p, element)
-    results = {"algebra": p.name, "expr": args.expr,
-               "homogeneous": w is not None,
-               "weight": list(w) if w is not None else None}
-    return results, source
+    return {"algebra": p.name, "expr": args.expr,
+            "homogeneous": w is not None,
+            "weight": list(w) if w is not None else None}
 
 
-def _cmd_normalcheck(args):
-    p, source = _load(args)
+def _cmd_normalcheck(args, source):
+    p = _load(args, source)
     element = dsl.evaluate_expression(p, args.expr)
     cert = scalar_normality_check(p, element)
     results = {"algebra": p.name, "expr": args.expr, "scalar_normal": cert is not None}
     if cert is not None:
         results["mus"] = {g: str(mu) for g, mu in zip(p.generators, cert.mus)}
-    return results, source
+    return results
 
 
-def _cmd_hspec(args):
-    p, source = _load(args)
+def _cmd_hspec(args, source):
+    p = _load(args, source)
     primes = strat.hspec_quantum_affine(p)
-    results = {"algebra": p.name, "count": len(primes),
-               "hprimes": [list(w.members) for w in primes]}
-    return results, source
+    return {"algebra": p.name, "count": len(primes),
+            "hprimes": [list(w.members) for w in primes]}
 
 
-def _cmd_strata(args):
-    p, source = _load(args)
+def _cmd_strata(args, source):
+    p = _load(args, source)
     primes = strat.hspec_quantum_affine(p)
     records = []
     ok = True
@@ -272,40 +260,38 @@ def _cmd_strata(args):
     results = {"algebra": p.name, "strata": records}
     if not ok:
         raise CliFailure("stratum center box check failed", results)
-    return results, source
+    return results
 
 
-def _cmd_center(args):
-    p, source = _load(args)
+def _cmd_center(args, source):
+    p = _load(args, source)
     w = _hprime_arg(args.hprime)
     report = strat.stratum_report(p, w)
-    return {"algebra": p.name, **_stratum_record(report)}, source
+    return {"algebra": p.name, **_stratum_record(report)}
 
 
-def _cmd_witness(args):
-    p, source = _load(args)
+def _cmd_witness(args, source):
+    p = _load(args, source)
     small = _hprime_arg(args.from_set)
     large = _hprime_arg(args.to_set)
     witness = strat.normal_separation_witness(p, small, large)
     q = witness.quotient
-    results = {"algebra": p.name, "from": list(small.members), "to": list(large.members),
-               "generator": witness.generator,
-               "mus": {g: str(mu) for g, mu in zip(q.generators, witness.certificate.mus)}}
-    return results, source
+    return {"algebra": p.name, "from": list(small.members), "to": list(large.members),
+            "generator": witness.generator,
+            "mus": {g: str(mu) for g, mu in zip(q.generators, witness.certificate.mus)}}
 
 
-def _cmd_poset(args):
-    p, source = _load(args)
+def _cmd_poset(args, source):
+    p = _load(args, source)
     primes = strat.hspec_quantum_affine(p)
     ranks = {w: strat.stratum_report(p, w).center_rank for w in primes}
     if args.dot:
-        return emit_dot(primes, ranks, name=p.name), source
+        return emit_dot(primes, ranks, name=p.name)
     covers = strat.poset_covers(primes)
-    results = {"algebra": p.name,
-               "nodes": [{"hprime": list(w.members), "center_rank": ranks[w]}
-                         for w in primes],
-               "edges": [[list(a.members), list(b.members)] for a, b in covers]}
-    return results, source
+    return {"algebra": p.name,
+            "nodes": [{"hprime": list(w.members), "center_rank": ranks[w]}
+                      for w in primes],
+            "edges": [[list(a.members), list(b.members)] for a, b in covers]}
 
 
 _HANDLERS = {
@@ -340,8 +326,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, **kw)
         cmd.add_argument("--fuel", type=int, default=default_fuel,
                          help="rewrite-step budget per engine call")
-        cmd.add_argument("--json", action="store_true", default=True,
-                         help="JSON output (default)")
         return cmd
 
     def add_file(name, **kw):
@@ -405,24 +389,27 @@ def run(argv) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     handler = _HANDLERS[args.command]
+    source = ""
     try:
-        results, source = handler(args)
+        source = (_read_source(args.file) if hasattr(args, "file")
+                  else f"{args.command} n={args.n} single_param={args.single_param}")
+        results = handler(args, source)
     except CliFailure as exc:
-        sys.stdout.write(_envelope(args.command, "", "fail",
+        sys.stdout.write(_envelope(args.command, source, "fail",
                                    {**exc.results, "message": str(exc)}))
         return 1
     except FuelExhausted as exc:
-        sys.stdout.write(_envelope(args.command, "", "fail", {"message": str(exc)}))
+        sys.stdout.write(_envelope(args.command, source, "fail", {"message": str(exc)}))
         return 1
     except (dsl.DslError, zoo.ZooError, strat.StratError, SpecializationError,
             PresentationError, NegativeExponent, FileNotFoundError) as exc:
         if isinstance(exc, strat.GenericityUnverified):
-            sys.stdout.write(_envelope(args.command, "", "fail", {"message": str(exc)}))
+            sys.stdout.write(_envelope(args.command, source, "fail", {"message": str(exc)}))
             return 1
-        sys.stdout.write(_envelope(args.command, "", "error", {"message": str(exc)}))
+        sys.stdout.write(_envelope(args.command, source, "error", {"message": str(exc)}))
         return 2
     except (EngineError, CoeffError) as exc:
-        sys.stdout.write(_envelope(args.command, "", "fail", {"message": str(exc)}))
+        sys.stdout.write(_envelope(args.command, source, "fail", {"message": str(exc)}))
         return 1
     if args.command == "poset" and args.dot:
         sys.stdout.write(results)

@@ -105,10 +105,6 @@ class UnitMonomial:
             raise ContextMismatch("unit monomial width does not match context")
         return Coefficient(context, {self.exponents: self.sign})
 
-    @staticmethod
-    def from_coefficient(c: "Coefficient") -> "UnitMonomial":
-        return c.as_unit()
-
 
 class Coefficient:
     """Sparse Laurent polynomial: exponent tuple -> nonzero integer.

@@ -63,10 +63,6 @@ class Element:
                     clean[exp] = c
         self.terms = clean
 
-    @staticmethod
-    def zero() -> "Element":
-        return Element()
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 

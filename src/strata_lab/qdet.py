@@ -106,16 +106,11 @@ def verify_det_normality(n: int, lam: Coefficient, p: AntisymmetricMatrixSpec,
 
 def sl_condition(n: int, lam: Coefficient, p: AntisymmetricMatrixSpec) -> bool:
     """Centrality criterion: lam^i * prod_l p_il takes one common value."""
-    values = []
-    for i in range(1, n + 1):
-        c = lam ** i
-        for l in range(1, n + 1):
-            c = c * p.entry(i - 1, l - 1)
-        values.append(c)
-    return all(v == values[0] for v in values[1:])
+    return sl_common_value(n, lam, p) is not None
 
 
 def sl_common_value(n: int, lam: Coefficient, p: AntisymmetricMatrixSpec) -> Coefficient | None:
+    """The common value of lam^i * prod_l p_il over i, or None if they differ."""
     values = []
     for i in range(1, n + 1):
         c = lam ** i

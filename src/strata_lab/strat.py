@@ -169,26 +169,18 @@ def ideal_of(p: Presentation, w: HPrime) -> MonomialIdeal:
 
 
 def poset_covers(primes: Sequence[HPrime]) -> list[tuple[HPrime, HPrime]]:
-    """Covering relations of the inclusion poset."""
-    covers = []
-    by_key = set(primes)
-    for a in primes:
-        for b in primes:
-            if a is b or not a.issubset(b) or a == b:
-                continue
-            strictly_between = any(c != a and c != b and a.issubset(c) and c.issubset(b)
-                                   for c in by_key)
-            if not strictly_between:
-                covers.append((a, b))
-    return covers
+    """Covering relations of the inclusion poset.
 
-
-def poset_height(primes: Sequence[HPrime], j: HPrime) -> int:
-    """Length of the longest chain descending from j inside the poset."""
-    below = [k for k in primes if k != j and k.issubset(j)]
-    if not below:
-        return 0
-    return 1 + max(poset_height(primes, k) for k in below)
+    The stable primes of quantum affine n-space are all 2^n subsets of the
+    generators, a Boolean lattice, so a cover adds exactly one generator.
+    Any other list of primes is rejected.
+    """
+    n = len(primes).bit_length() - 1
+    if (not primes or len(primes) != 1 << n or len(set(primes)) != len(primes)
+            or any(not 1 <= i <= n for w in primes for i in w.members)):
+        raise StratError("stable primes are not all subsets of the generators")
+    return [(a, HPrime(a.members + (i,)))
+            for a in primes for i in range(1, n + 1) if i not in a]
 
 
 # -- quotients, tori, centers ---------------------------------------------------
@@ -357,8 +349,7 @@ class StratificationReport:
                 and all(w.ok for w in self.locally_closed))
 
 
-def stratification_axioms_check(p: Presentation,
-                                primes: Sequence[HPrime] | None = None) -> StratificationReport:
+def stratification_axioms_check(p: Presentation) -> StratificationReport:
     """Finite-poset shadow of the stratification laws.
 
     (a) each stratum is locally closed: the intersection of the ideals of the
@@ -366,14 +357,13 @@ def stratification_axioms_check(p: Presentation,
         for maximal J);
     (b) closures are unions of strata: ideal containment matches poset order;
     (c) unions of low-height strata are open: J has height <= d exactly when
-        its ideal fails to contain the intersection over heights > d.
+        its ideal fails to contain the intersection over heights > d.  The
+        primes form a Boolean lattice, so the height of J is its size.
     """
-    if primes is None:
-        primes = hspec_quantum_affine(p)
+    primes = hspec_quantum_affine(p)
     n = p.ngens
     whole = MonomialIdeal.make(n, [(0,) * n])
     ideals = {w: ideal_of(p, w) for w in primes}
-    heights = {w: poset_height(primes, w) for w in primes}
 
     witnesses = []
     for j in primes:
@@ -392,7 +382,7 @@ def stratification_axioms_check(p: Presentation,
 
     open_ok = True
     for d in range(n + 1):
-        tall = [k for k in primes if heights[k] > d]
+        tall = [k for k in primes if len(k.members) > d]
         if tall:
             meet = ideals[tall[0]]
             for k in tall[1:]:
@@ -401,7 +391,7 @@ def stratification_axioms_check(p: Presentation,
             meet = whole
         for j in primes:
             lies_in = ideals[j].contains_ideal(meet)
-            if (heights[j] <= d) != (not lies_in):
+            if (len(j.members) <= d) != (not lies_in):
                 open_ok = False
     return StratificationReport(witnesses, closure_ok, open_ok)
 

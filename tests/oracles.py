@@ -170,3 +170,12 @@ def stable_prime_monomial_ideals(n: int, gen_degree: int = 2,
             if is_prime_monomial_ideal(list(key), n, test_degree):
                 survivors.add(key)
     return survivors
+
+
+def covers_by_definition(primes):
+    """Pairs a < b of stable primes (inclusion of members) with nothing strictly
+    between, in the order of the given list."""
+    def below(a, b):
+        return set(a.members) < set(b.members)
+    return [(a, b) for a in primes for b in primes
+            if below(a, b) and not any(below(a, c) and below(c, b) for c in primes)]

@@ -9,6 +9,7 @@ import itertools
 import json
 import random
 import time
+import zlib
 from math import comb
 
 from strata_lab import lattice, zoo
@@ -168,7 +169,7 @@ def test_criterion_7_separation_witnesses():
 
 
 def test_criterion_8_stratification_topology():
-    for n in range(6):
+    for n in range(8):
         p = zoo.quantum_affine_single(n)
         report = stratification_axioms_check(p)
         assert report.passed, n
@@ -180,7 +181,7 @@ def test_criterion_8_stratification_topology():
     assert by_prime[HPrime(())].bigger.generators == ((1, 1),)
     assert by_prime[HPrime((1, 2))].bigger.is_whole_ring
     print("\n[criterion 8] PASS: locally-closed witnesses, closure unions, and "
-          "open height unions verified for n <= 5")
+          "open height unions verified for n <= 7")
 
 
 def engine_law_suite():
@@ -199,7 +200,9 @@ def engine_law_suite():
 def test_criterion_9_engine_laws():
     t0 = time.monotonic()
     for p in engine_law_suite():
-        rng = random.Random(hash(p.name) & 0xFFFF)
+        seed = zlib.crc32(p.name.encode())
+        print(f"[criterion 9] {p.name}: seed {seed}")
+        rng = random.Random(seed)
         for _ in range(400):
             a = oracles.random_element(p, rng)
             b = oracles.random_element(p, rng)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -35,6 +36,10 @@ def invoke(capsys, *argv):
 
 def report_of(out):
     return json.loads(out)
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # -- parsing -------------------------------------------------------------------
@@ -131,12 +136,14 @@ def test_verify_nonconfluent_exit_1(tmp_path, capsys):
     old = rules[(2, 0)].swap
     rules[(2, 0)] = Rule(UnitMonomial(old.sign, tuple(2 * e for e in old.exponents)))
     broken = Presentation(p.context, p.generators, rules, p.weights, name="broken")
-    path = write(tmp_path, print_presentation(broken))
+    text = print_presentation(broken)
+    path = write(tmp_path, text)
     code, out = invoke(capsys, "verify", path)
     assert code == 1
     rep = report_of(out)
     assert rep["status"] == "fail"
     assert rep["results"]["unresolved"]
+    assert rep["inputs_digest"] == sha256(text)
 
 
 def test_parse_error_exit_2(tmp_path, capsys):
@@ -144,6 +151,7 @@ def test_parse_error_exit_2(tmp_path, capsys):
     code, out = invoke(capsys, "verify", path)
     assert code == 2
     assert report_of(out)["status"] == "error"
+    assert report_of(out)["inputs_digest"] == sha256("algebra ???\n")
 
 
 def test_usage_error_exit_2(capsys):
@@ -267,6 +275,7 @@ def test_fuel_flag_and_env(tmp_path, capsys, monkeypatch):
     code, out = invoke(capsys, "nf", path, "X22*X11*X21", "--fuel", "1")
     assert code == 1
     assert report_of(out)["status"] == "fail"
+    assert report_of(out)["inputs_digest"] == sha256("use quantum_matrices(m=2, n=2)\n")
     monkeypatch.setenv("STRATA_LAB_FUEL", "1")
     code, out = invoke(capsys, "nf", path, "X22*X11*X21")
     assert code == 1

@@ -10,7 +10,7 @@ from strata_lab.strat import (GenericityUnverified, HPrime, MonomialIdeal,
                               central_multiplier_check,
                               commutation_exponent_matrix, hspec_quantum_affine,
                               ideal_of, is_central, normal_separation_witness,
-                              poset_covers, poset_height, quotient_presentation,
+                              poset_covers, quotient_presentation,
                               stratification_axioms_check, stratum_report,
                               stratum_torus)
 
@@ -44,8 +44,26 @@ def test_hspec_is_boolean_lattice():
         assert set(a.members) < set(b.members)
         assert len(b.members) == len(a.members) + 1
     assert len(covers) == 3 * 2 ** 2  # n * 2^(n-1)
-    for w in primes:
-        assert poset_height(primes, w) == len(w.members)
+
+
+@pytest.mark.parametrize("primes", [
+    [],
+    [HPrime(()), HPrime((1, 2))],
+    [HPrime(()), HPrime(())],
+    [HPrime(()), HPrime((0,))],
+    [HPrime(()), HPrime((1,)), HPrime((2,)), HPrime((2,))],
+    [HPrime(()), HPrime((10 ** 9,))],
+])
+def test_poset_covers_rejects_a_partial_lattice(primes):
+    with pytest.raises(StratError):
+        poset_covers(primes)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_poset_covers_match_the_definition(n):
+    for p in (zoo.quantum_affine_generic(n), zoo.quantum_affine_single(n)):
+        primes = hspec_quantum_affine(p)
+        assert poset_covers(primes) == oracles.covers_by_definition(primes)
 
 
 def test_hspec_requires_affine_shape():
