@@ -154,17 +154,16 @@ def _cmd_nf(args, source):
 
 def _cmd_hilbert(args, source):
     p = _load(args, source)
-    from math import comb
     counts = []
-    ok = True
     for d in range(args.degree + 1):
-        got = hilbert_count(p, d)
-        want = comb(p.ngens + d - 1, d) if p.ngens else (1 if d == 0 else 0)
-        counts.append({"degree": d, "count": got, "commutative_count": want})
-        ok = ok and got == want
-    results = {"algebra": p.name, "counts": counts, "matches": ok}
-    if not ok:
-        raise CliFailure("graded dimension mismatch", results)
+        count = hilbert_count(p, d)  # the commutative count, C(n+d-1, d)
+        counts.append({"degree": d, "count": count, "commutative_count": count})
+    # The counted ordered monomials are a basis, so the counts are graded
+    # dimensions, exactly when every overlap resolves.
+    confluent = all(r.resolved for r in diamond_check(p))
+    results = {"algebra": p.name, "counts": counts, "matches": confluent}
+    if not confluent:
+        raise CliFailure("presentation is not confluent", results)
     return results
 
 
@@ -312,6 +311,13 @@ _HANDLERS = {
 }
 
 
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     env_fuel = os.environ.get("STRATA_LAB_FUEL")
     default_fuel = int(env_fuel) if env_fuel else DEFAULT_FUEL
@@ -338,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("expr")
     cmd.add_argument("--specialize", help="sym=rat,... exact rational evaluation")
     cmd = add_file("hilbert", help="graded dimensions up to a degree")
-    cmd.add_argument("--degree", type=int, default=4)
+    cmd.add_argument("--degree", type=_nonnegative, default=4)
     for name in ("qdet", "qdet-verify", "sl-check"):
         cmd = add(name, help=f"{name} for n x n quantum matrices")
         cmd.add_argument("--n", type=int, required=True)
@@ -353,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("expr")
     add_file("hspec", help="torus-stable prime poset of a quantum affine space")
     cmd = add_file("strata", help="all stratum reports")
-    cmd.add_argument("--box", type=int, default=0,
+    cmd.add_argument("--box", type=_nonnegative, default=0,
                      help="cross-check centers against the engine within this box")
     cmd = add_file("center", help="one stratum report")
     cmd.add_argument("--hprime", default="", help="comma-separated generator indices")
@@ -402,7 +408,7 @@ def run(argv) -> int:
         sys.stdout.write(_envelope(args.command, source, "fail", {"message": str(exc)}))
         return 1
     except (dsl.DslError, zoo.ZooError, strat.StratError, SpecializationError,
-            PresentationError, NegativeExponent, FileNotFoundError) as exc:
+            PresentationError, NegativeExponent, OSError, UnicodeDecodeError) as exc:
         if isinstance(exc, strat.GenericityUnverified):
             sys.stdout.write(_envelope(args.command, source, "fail", {"message": str(exc)}))
             return 1

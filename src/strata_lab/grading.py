@@ -68,9 +68,11 @@ class NormalityCertificate:
 def scalar_normality_check(p: Presentation, c: Element) -> NormalityCertificate | None:
     """Detect scalar normality by comparing c*g with g*c for every generator.
 
-    Returns a verified certificate, or None.  When the two products are
-    proportional but the ratio is not expressible as a single Laurent term,
-    the case is reported as a warning and treated as absent.
+    Returns a certificate, or None.  Each mu is accepted only after the exact
+    identity c*g = mu*(g*c) holds, which is all that NormalityCertificate.verify
+    rechecks.  When the two products are proportional but the ratio is not
+    expressible as a single Laurent term, the case is reported as a warning and
+    treated as absent.
     """
     if not c:
         raise ValueError("zero element")
@@ -94,7 +96,4 @@ def scalar_normality_check(p: Presentation, c: Element) -> NormalityCertificate 
             warnings.warn("proportionality ratio is not a single Laurent term; "
                           "treating element as not scalar-normal", RuntimeWarning)
         return None
-    cert = NormalityCertificate(c, tuple(mus))
-    if not cert.verify(p):
-        raise AssertionError("certificate failed its defining identities")
-    return cert
+    return NormalityCertificate(c, tuple(mus))

@@ -179,3 +179,32 @@ def covers_by_definition(primes):
         return set(a.members) < set(b.members)
     return [(a, b) for a in primes for b in primes
             if below(a, b) and not any(below(a, c) and below(c, b) for c in primes)]
+
+
+def locally_closed_by_definition(p: Presentation):
+    """Checks (a) and (c) of the stratification axioms straight from their
+    definitions: intersect over every strictly larger prime, and over every
+    prime taller than d.  Returns ({prime: (bigger ideal, locally closed)},
+    low-height unions open)."""
+    from strata_lab.strat import HPrime, MonomialIdeal, ideal_of
+    n = p.ngens
+    primes = [HPrime(m) for size in range(n + 1)
+              for m in itertools.combinations(range(1, n + 1), size)]
+    ideals = {w: ideal_of(p, w) for w in primes}
+
+    def meet(ws):
+        out = MonomialIdeal.make(n, [(0,) * n])
+        for w in ws:
+            out = out.intersect(ideals[w])
+        return out
+
+    closed = {}
+    for j in primes:
+        bigger = meet([k for k in primes if set(j.members) < set(k.members)])
+        closed[j] = (bigger, bigger.contains_ideal(ideals[j])
+                     and not ideals[j].contains_ideal(bigger))
+    open_ok = all(
+        (len(j.members) <= d) == (not ideals[j].contains_ideal(
+            meet([k for k in primes if len(k.members) > d])))
+        for d in range(n + 1) for j in primes)
+    return closed, open_ok

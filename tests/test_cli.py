@@ -314,3 +314,56 @@ x2 = (0, 1)
     code, out = invoke(capsys, "hspec", path)
     assert code == 1
     assert report_of(out)["status"] == "fail"
+
+
+def test_hilbert_certifies_confluence(tmp_path, capsys):
+    # 3x3 quantum matrices with the X22*X11 tail dropped: the ordered monomials
+    # are still counted, but they are no basis, so the counts are not dimensions
+    from strata_lab.pbw import Element, Presentation, Rule
+    p = zoo.quantum_matrices_generic(3, 3)
+    rules = dict(p.rules)
+    pair = (p.gen_index("X22"), p.gen_index("X11"))
+    rules[pair] = Rule(rules[pair].swap, Element())
+    broken = Presentation(p.context, p.generators, rules, p.weights, name="corrupt")
+    text = print_presentation(broken)
+    path = write(tmp_path, text)
+    code, out = invoke(capsys, "verify", path)
+    assert code == 1
+    code, out = invoke(capsys, "hilbert", path, "--degree", "2")
+    assert code == 1
+    rep = report_of(out)
+    assert rep["status"] == "fail"
+    assert rep["results"]["matches"] is False
+    assert rep["results"]["message"] == "presentation is not confluent"
+    assert rep["inputs_digest"] == sha256(text)
+
+
+def test_unreadable_input_is_a_usage_error(tmp_path, capsys):
+    code, out = invoke(capsys, "verify", str(tmp_path))
+    assert code == 2
+    assert report_of(out)["status"] == "error"
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"algebra caf\xe9\n")
+    code, out = invoke(capsys, "verify", str(path))
+    assert code == 2
+    rep = report_of(out)
+    assert rep["status"] == "error"
+    assert rep["inputs_digest"] == sha256("")
+
+
+@pytest.mark.parametrize("from_set,to_set", [("", "0"), ("1", "1,5"), ("", "3")])
+def test_witness_rejects_missing_generators(tmp_path, capsys, from_set, to_set):
+    path = write(tmp_path, "use quantum_affine(n=2)\n")
+    code, out = invoke(capsys, "witness", path, "--from", from_set, "--to", to_set)
+    assert code == 2
+    rep = report_of(out)
+    assert rep["status"] == "error"
+    assert "do not exist" in rep["results"]["message"]
+
+
+@pytest.mark.parametrize("argv", [("hilbert", "--degree", "-3"), ("strata", "--box", "-1")])
+def test_negative_sizes_are_usage_errors(tmp_path, capsys, argv):
+    path = write(tmp_path, "use quantum_affine(n=2)\n")
+    code, out = invoke(capsys, argv[0], path, *argv[1:])
+    assert code == 2
+    assert out == ""

@@ -1,0 +1,97 @@
+"""Golden reports: the sha256 of stdout and the exit code of the stratification,
+Hilbert and normality commands, pinned so that refactors keep the bytes.
+
+The digests were recorded before the structural checks in strat, pbw and
+grading replaced their per-prime and per-monomial recomputations.
+"""
+
+import hashlib
+
+import pytest
+
+from strata_lab.cli import run
+
+SOURCES = {
+    "qa3": "use quantum_affine(n=3)\n",
+    "qa4": "use quantum_affine(n=4)\n",
+    "qa5": "use quantum_affine(n=5)\n",
+    "qa3s": "use quantum_affine(n=3, single_param=true)\n",
+    "qa4s": "use quantum_affine(n=4, single_param=true)\n",
+    "qa5s": "use quantum_affine(n=5, single_param=true)\n",
+    "m33": "use quantum_matrices(m=3, n=3)\n",
+}
+
+# (source, argv after the file) -> (exit code, sha256 of stdout); the 3x3
+# matrices are not a quantum affine space, so the stratification commands
+# pin their error envelopes.
+GOLDEN = {
+    ('qa3', ('hspec',)): (0, "4bbb76ac74039ff64579ca1c0b8316d29f64242c7a961f780dca0119481dee07"),
+    ('qa3', ('strata', '--box', '1')): (0, "44df9472b3b5d12b261f8858444f6265bdc89684457e778fb0ab2dc735cd07de"),
+    ('qa3', ('poset',)): (0, "b890b442adc1fd0429f980294027e8ddb7685a58c4c8e70af26e59de5031a88c"),
+    ('qa3', ('poset', '--dot')): (0, "d257e4f022a5420199adcb92b309e4640cf0afbdee9f70035575bed65bce77ac"),
+    ('qa3', ('center', '--hprime', '1,3')): (0, "463f4e5cb43d7f539ccc6b12069d69b2d282d230a92c1cb6b0840bb2d4c58307"),
+    ('qa3', ('witness', '--from', '1', '--to', '1,2,3')): (0, "8d9217b4ff7645f133afb83e4662d7d06f792bd2ad6290c660e6b772ce753005"),
+    ('qa3', ('hilbert',)): (0, "2b4e83e84e56e75f070216b6fe2794f2c227d430e467ef9409a1f5eb91f23033"),
+    ('qa3', ('normalcheck', 'x1*x3')): (0, "c2306b0ac3918ddf491ad1b324f7124e4a1f26651f458b76365bf249a9a0acad"),
+    ('qa4', ('hspec',)): (0, "a9ff5f3e13ef33d0c499ef4ce15a6eb0f087f982bddd31e2dcda7320c0aea914"),
+    ('qa4', ('strata', '--box', '1')): (0, "6cd405f8e77d1b18ff10d1a8b057933967fec3ecbb85379856e7a1aeb7b8f955"),
+    ('qa4', ('poset',)): (0, "0760feb36ed6e856cc39cb6ae594795db37feed827c8863836b0828c1c15cc58"),
+    ('qa4', ('poset', '--dot')): (0, "ec3c7e569c9fbbcfd568aabc8b3948ae1c4d1c512a957cab32784a61ada74317"),
+    ('qa4', ('center', '--hprime', '1,3')): (0, "4d99da8eb21e136e2977d3e34585fb22ebde4b715e30ed906fcc683c8be5e03c"),
+    ('qa4', ('witness', '--from', '1', '--to', '1,2,3')): (0, "299acaf3cf02975a05ff7ea52cb33fa5d733fefc4a572b12c54359f85d8ea598"),
+    ('qa4', ('hilbert',)): (0, "280299e4e18f3323bc33271c80f971999534e7a959791b539a86ca5ac5a3f8a1"),
+    ('qa4', ('normalcheck', 'x1*x3')): (0, "8f3d30ec6893802667bffeb67faeab91fa2478b1e57540479740352f8c385dc8"),
+    ('qa5', ('hspec',)): (0, "1458d48b39f16b0c1642b6ef405470c3248f3e5c68908c0c634bf664bad81733"),
+    ('qa5', ('strata', '--box', '1')): (0, "93086db22cac84efaaaafe0c1920202c0e213f3d153c700c3aea01e1cdbf4abc"),
+    ('qa5', ('poset',)): (0, "e3ea872be9e80903e7bfee441265cafd6d7624fcafc284a8ffaa911e5ea5e5bd"),
+    ('qa5', ('poset', '--dot')): (0, "b93bb2d0363438816554f4bfc02c31f547a2c27c626803d0fec7378dd06ed530"),
+    ('qa5', ('center', '--hprime', '1,3')): (0, "cf9bcd1cfc033a814d338c4185a2f35929cd2710e3e2e5d61ba5fcb7c871560f"),
+    ('qa5', ('witness', '--from', '1', '--to', '1,2,3')): (0, "3634381becce136b99a8eef718287a77d9299f90877fce49def615a1e9b8a270"),
+    ('qa5', ('hilbert',)): (0, "26790b083d7d7737f9c747816944d32057af4d8a67b28766366b1761b5912d52"),
+    ('qa5', ('normalcheck', 'x1*x3')): (0, "9eb70114968fec864a68e6c5db8dd7d8dad38e7203aecab281538232c7921e17"),
+    ('qa3s', ('hspec',)): (0, "94d85d90b37716d6efb7b6eff9b8dd5d3fc82557991c093712959803fa8fb6ef"),
+    ('qa3s', ('strata', '--box', '1')): (0, "326fffb5cea9e9cd542422cbd901a9a55934b15b1a10639c5ba69c78184843d2"),
+    ('qa3s', ('poset',)): (0, "3f2d2398ea9166dec163d1823f986df96813c5bd86242fbea28a65f7a9117f70"),
+    ('qa3s', ('poset', '--dot')): (0, "f7fe9cda725864851b22cba0488e96555929ecc4e4d53cc2130245610cac1729"),
+    ('qa3s', ('center', '--hprime', '1,3')): (0, "438d0d122207346ae166c2df9da8219d2caaedc667fbe76ba0b2f289e84873b1"),
+    ('qa3s', ('witness', '--from', '1', '--to', '1,2,3')): (0, "ac091b4117d182a9d53bc510ce066c853bf7873252d49acc440481ff71812f83"),
+    ('qa3s', ('hilbert',)): (0, "e27c7706fb6e1da5eccac3c3c8087419d2230c2da3cbf6d75ff8f1440a55b461"),
+    ('qa3s', ('normalcheck', 'x1*x3')): (0, "98982b0c6be026eb582187795e33594fbeedde8cefe99184d65c3e1e2f3f271a"),
+    ('qa4s', ('hspec',)): (0, "310042198014cff3b4d4856a56153e271e293020d789bba41a8d95c659d4dd9e"),
+    ('qa4s', ('strata', '--box', '1')): (0, "f779131270f7e4e7017eadebac4cced256da5626739db6eceea4efa3ae2a83be"),
+    ('qa4s', ('poset',)): (0, "42d86f26266305adf6a26bac06e1ce04ccaf3ead498c2f02eca081dc5bb7b50d"),
+    ('qa4s', ('poset', '--dot')): (0, "272c2360efc38220869066eb172a5d4d65ed46e923370bcf39807e15b87ff6ec"),
+    ('qa4s', ('center', '--hprime', '1,3')): (0, "bfa32c98dddc7c90c20a9de46f1df166135ec42db4e81363f18bfa81c2a39e04"),
+    ('qa4s', ('witness', '--from', '1', '--to', '1,2,3')): (0, "7987b736172254ad24e0fd2355a59f791b591b5163d729d2a27c904ff144cec1"),
+    ('qa4s', ('hilbert',)): (0, "de8f9a002ab532910d99981b7965d0939f4db474b7e2e8d531ff968e55e56893"),
+    ('qa4s', ('normalcheck', 'x1*x3')): (0, "d842e2149b0faa491d902292d1e559f64102cfc27f7c5f9ba56f0af5e6cd9085"),
+    ('qa5s', ('hspec',)): (0, "e34c4831e456bf134ca054e717bc94f315fd78c9e2d40d05a2b7a622eaae2fe5"),
+    ('qa5s', ('strata', '--box', '1')): (0, "f28fc034fcaff02a84b9d8870b89255cb55ca727ed430486741336bd2633035c"),
+    ('qa5s', ('poset',)): (0, "104585c654ac138ad8f07eebcba4f395b03270500a94b72b401806eb4a4ab2a7"),
+    ('qa5s', ('poset', '--dot')): (0, "cedb0d3a25fdd82313eb0f1463f0107da6edccbc5290714f62a26caf6868df03"),
+    ('qa5s', ('center', '--hprime', '1,3')): (0, "647e218af0deb5339383326466a36f8322574fd36c19b824a4b779bb9eb44b27"),
+    ('qa5s', ('witness', '--from', '1', '--to', '1,2,3')): (0, "b5dd8442e6e5d9134ae156597ea3b6e7f1d2caca80d21d72d814d19f0300a8ac"),
+    ('qa5s', ('hilbert',)): (0, "a796f82fd483b465b40c5976fe2643577894ef7b0c0b3f6bf19d732e063cb4b5"),
+    ('qa5s', ('normalcheck', 'x1*x3')): (0, "1274af61be05955434b5ba63908b489efc07ff574ba7400a950ce79bdd1c6f92"),
+    ('m33', ('hspec',)): (2, "d6f573f89d21e9540bd4e2849dff9bfc3a57e8fbf7f6b223905450c242fd2f37"),
+    ('m33', ('strata', '--box', '1')): (2, "c270a46be65b81de23830326d7034a03d96129f2d28644ca4ce04556e208ec67"),
+    ('m33', ('poset',)): (2, "2c29563438bbf90a84c9503657e040855150e5f457591e3d9483e920334c35c8"),
+    ('m33', ('poset', '--dot')): (2, "2c29563438bbf90a84c9503657e040855150e5f457591e3d9483e920334c35c8"),
+    ('m33', ('center', '--hprime', '1,3')): (2, "2ef4c80cd177b9bbd65e9ae1e3f9c02dc2ff2d8501c6548f6e14d29dab0d38af"),
+    ('m33', ('witness', '--from', '1', '--to', '1,2,3')): (2, "ea30541251f4ee0fc09474816628c92b9fdc33e0a7758edcd410758e7f42cb57"),
+    ('m33', ('hilbert',)): (0, "40d7993bf5c279b6f83738e32111a4f17c5ceaedc73bb6fa20047b449ec9e7b6"),
+    ('m33', ('normalcheck', 'X12')): (0, "a99c1b6157a05b4a886590f4cb3feeb6199c465301e565f247be4290a48cd562"),
+}
+
+
+def _case_id(value):
+    return " ".join(value) if isinstance(value, tuple) else value
+
+
+@pytest.mark.parametrize("source,argv", sorted(GOLDEN), ids=_case_id)
+def test_report_bytes_are_pinned(tmp_path, capsys, source, argv):
+    path = tmp_path / "alg.txt"
+    path.write_text(SOURCES[source], encoding="utf-8")
+    code = run([argv[0], str(path), *argv[1:]])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == GOLDEN[(source, argv)]

@@ -128,3 +128,19 @@ def test_certificate_reverification_is_exact(m2):
 def test_zero_element_rejected(qa3):
     with pytest.raises(ValueError):
         scalar_normality_check(qa3, Element())
+
+
+def test_normality_check_multiplies_each_generator_once_per_side(m2, monkeypatch):
+    import strata_lab.grading as grading
+    sides = []
+
+    def recording_multiply(p, a, b, fuel=None):
+        sides.append((a, b))
+        return multiply(p, a, b, fuel)
+
+    monkeypatch.setattr(grading, "multiply", recording_multiply)
+    c = gen(m2, "X12")
+    cert = scalar_normality_check(m2, c)
+    gens = [gen(m2, i) for i in range(m2.ngens)]
+    assert sides == [pair for g in gens for pair in ((c, g), (g, c))]
+    assert cert is not None and cert.verify(m2)

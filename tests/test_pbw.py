@@ -252,3 +252,17 @@ def test_order_key_orders_by_degree_then_top_exponent():
     assert order_key((2, 0)) < order_key((1, 1))      # same degree: top exponent decides
     assert order_key((0, 2)) > order_key((2, 0))
     assert order_key((1, 0, 1)) > order_key((0, 2, 0))
+
+
+def test_hilbert_count_needs_no_rewriting(monkeypatch):
+    import strata_lab.pbw as pbw
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("ordered monomials need no reduction")
+
+    monkeypatch.setattr(pbw, "_reduce", no_engine)
+    m3 = zoo.quantum_matrices_generic(3, 3)
+    for d in range(8):
+        assert hilbert_count(m3, d) == oracles.commutative_count(9, d)
+    assert hilbert_count(zoo.quantum_affine_generic(0), 0) == 1
+    assert hilbert_count(zoo.quantum_affine_generic(0), 2) == 0

@@ -4,7 +4,7 @@ import pytest
 
 from strata_lab import lattice, zoo
 from strata_lab.coeff import Coefficient, ParamContext
-from strata_lab.pbw import Element, gen, monomial, one
+from strata_lab.pbw import Element, gen, monomial, multiply, one
 from strata_lab.strat import (GenericityUnverified, HPrime, MonomialIdeal,
                               StratError, brute_force_central_monomials,
                               central_multiplier_check,
@@ -270,3 +270,39 @@ def test_domain_shadow_check():
 def test_ideal_of(qa3s):
     ideal = ideal_of(qa3s, HPrime((1, 3)))
     assert ideal.generators == ((0, 0, 1), (1, 0, 0))
+
+
+@pytest.mark.parametrize("single", [False, True])
+@pytest.mark.parametrize("n", range(6))
+def test_axioms_match_the_definition(n, single):
+    p = zoo.quantum_affine_single(n) if single else zoo.quantum_affine_generic(n)
+    report = stratification_axioms_check(p)
+    closed, open_ok = oracles.locally_closed_by_definition(p)
+    assert {w.hprime: (w.bigger, w.ok) for w in report.locally_closed} == closed
+    assert report.height_unions_open == open_ok
+    assert report.passed
+
+
+def test_hspec_checks_all_generator_pairs_once(monkeypatch):
+    import strata_lab.strat as strat
+    p = zoo.quantum_affine_generic(4)
+    pairs = []
+
+    def recording_multiply(pres, a, b, fuel=None):
+        pairs.append((next(iter(a.terms)), next(iter(b.terms))))
+        return multiply(pres, a, b, fuel)
+
+    def no_quotient(*args, **kwargs):
+        raise AssertionError("hspec must not build quotient presentations")
+
+    monkeypatch.setattr(strat, "multiply", recording_multiply)
+    monkeypatch.setattr(strat, "quotient_presentation", no_quotient)
+    assert len(hspec_quantum_affine(p)) == 16
+    units = [tuple(1 if t == i else 0 for t in range(4)) for i in range(4)]
+    assert sorted(pairs) == sorted((a, b) for a in units for b in units)
+
+
+def test_witness_rejects_generators_that_do_not_exist(qa2):
+    for small, large in [((), (0,)), ((1,), (1, 5)), ((), (3,))]:
+        with pytest.raises(StratError, match="do not exist"):
+            normal_separation_witness(qa2, HPrime(small), HPrime(large))
