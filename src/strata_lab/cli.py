@@ -175,7 +175,7 @@ def _matrix_data(args):
 
 def _cmd_qdet(args, source):
     lam, p = _matrix_data(args)
-    pres = zoo.quantum_matrices(args.n, args.n, lam, p).with_fuel(args.fuel)
+    pres = zoo.quantum_matrices(args.n, args.n, lam, p)
     det = qdet.quantum_determinant(args.n, lam, p)
     spec = _parse_specialize(args.specialize)
     return {"n": args.n, "single_param": args.single_param,
@@ -328,14 +328,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     "for q-commutation algebras.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kw):
+    def add_file(name, **kw):
         cmd = sub.add_parser(name, **kw)
         cmd.add_argument("--fuel", type=int, default=default_fuel,
                          help="rewrite-step budget per engine call")
-        return cmd
-
-    def add_file(name, **kw):
-        cmd = add(name, **kw)
         cmd.add_argument("file", help="presentation file, or - for stdin")
         return cmd
 
@@ -346,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd = add_file("hilbert", help="graded dimensions up to a degree")
     cmd.add_argument("--degree", type=_nonnegative, default=4)
     for name in ("qdet", "qdet-verify", "sl-check"):
-        cmd = add(name, help=f"{name} for n x n quantum matrices")
+        cmd = sub.add_parser(name, help=f"{name} for n x n quantum matrices")
         cmd.add_argument("--n", type=int, required=True)
         cmd.add_argument("--single-param", action="store_true")
         if name == "qdet":

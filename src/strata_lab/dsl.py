@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 from . import zoo
 from .coeff import Coefficient, NonUnitDivision, ParamContext
-from .pbw import (Element, Presentation, Rule, format_element, normal_form)
+from .pbw import (Element, Fuel, NegativeExponent, Presentation, PresentationError,
+                  Rule, format_element, product)
 
 
 class DslError(Exception):
@@ -122,70 +123,64 @@ class _Stream:
     def at_line_end(self) -> bool:
         return self.peek().kind in ("NEWLINE", "EOF")
 
+    def signed_int(self) -> int:
+        t = self.peek()
+        if t.kind == "OP" and t.value in "+-":
+            self.next()
+            return int(self.expect("INT").value) * (-1 if t.value == "-" else 1)
+        return int(self.expect("INT").value)
+
 
 # -- expressions ------------------------------------------------------------
 #
-# An expression value is a list of (Coefficient, word) pairs, where a word is
-# a tuple of (generator index, exponent) factors in written order.
-
-_Term = tuple[Coefficient, tuple[tuple[int, int], ...]]
+# The parser evaluates as it reads: every value is an Element over the
+# generators it was given, and `*` and `^` multiply with the product it was
+# given, so parentheses fix the order of multiplication.
 
 
 class _ExprParser:
-    def __init__(self, stream: _Stream, context: ParamContext, gen_index):
+    def __init__(self, stream: _Stream, context: ParamContext, generators,
+                 invertible, product):
         self.s = stream
         self.ctx = context
-        self.gens = gen_index or {}
+        self.gens = {g: i for i, g in enumerate(generators)}
+        self.invertible = invertible
+        self.product = product
 
-    def parse(self) -> list[_Term]:
-        terms = self._expr()
-        return terms
+    def _scalar(self, c: Coefficient) -> Element:
+        return Element({(0,) * len(self.gens): c})
 
-    def _expr(self) -> list[_Term]:
+    def expr(self) -> Element:
         t = self.s.peek()
         if t.kind == "OP" and t.value == "-":
             self.s.next()
-            terms = [(-c, w) for c, w in self._product()]
+            total = -self._product()
         else:
-            terms = self._product()
+            total = self._product()
         while True:
             t = self.s.peek()
             if t.kind == "OP" and t.value in "+-":
                 self.s.next()
                 rhs = self._product()
-                if t.value == "-":
-                    rhs = [(-c, w) for c, w in rhs]
-                terms = terms + rhs
+                total = total + rhs if t.value == "+" else total - rhs
             else:
-                return terms
+                return total
 
-    def _product(self) -> list[_Term]:
-        terms = self._factor()
+    def _product(self) -> Element:
+        value = self._factor()
         while True:
             t = self.s.peek()
             if t.kind == "OP" and t.value == "*":
                 self.s.next()
-                rhs = self._factor()
-                terms = [(c1 * c2, w1 + w2) for c1, w1 in terms for c2, w2 in rhs]
+                value = self.product(value, self._factor())
             else:
-                return terms
+                return value
 
-    def _signed_int(self) -> int:
-        sign = 1
-        t = self.s.peek()
-        if t.kind == "OP" and t.value in "+-":
-            self.s.next()
-            if t.value == "-":
-                sign = -1
-            t = self.s.peek()
-        tok = self.s.expect("INT")
-        return sign * int(tok.value)
-
-    def _factor(self) -> list[_Term]:
+    def _factor(self) -> Element:
         t = self.s.peek()
         if t.kind == "OP" and t.value == "-":
             self.s.next()
-            return [(-c, w) for c, w in self._factor()]
+            return -self._factor()
         if t.kind == "INT":
             self.s.next()
             k = self._exponent()
@@ -196,70 +191,85 @@ class _ExprParser:
                 value = value ** (-k)
             else:
                 raise DslError(f"cannot invert the integer {value}", t.line, t.col)
-            return [(Coefficient.integer(self.ctx, value), ())]
+            return self._scalar(Coefficient.integer(self.ctx, value))
         if t.kind == "NAME":
             self.s.next()
             k = self._exponent()
             k = 1 if k is None else k
             if t.value in self.gens:
-                return [(Coefficient.one(self.ctx), ((self.gens[t.value], k),))]
+                idx = self.gens[t.value]
+                if k < 0 and not self.invertible[idx]:
+                    raise NegativeExponent(
+                        f"negative power of non-invertible generator {t.value}")
+                exp = [0] * len(self.gens)
+                exp[idx] = k
+                return Element({tuple(exp): Coefficient.one(self.ctx)})
             if t.value in self.ctx:
-                return [(Coefficient.symbol(self.ctx, t.value, k), ())]
+                return self._scalar(Coefficient.symbol(self.ctx, t.value, k))
             raise DslError(f"unknown symbol {t.value!r}", t.line, t.col)
         if t.kind == "OP" and t.value == "(":
             self.s.next()
-            inner = self._expr()
+            inner = self.expr()
             self.s.expect("OP", ")")
             k = self._exponent()
-            if k is None or k == 1:
+            if k is None:
                 return inner
             if k < 0:
                 raise DslError("cannot invert a parenthesized expression", t.line, t.col)
-            out: list[_Term] = [(Coefficient.one(self.ctx), ())]
+            value = self._scalar(Coefficient.one(self.ctx))
             for _ in range(k):
-                out = [(c1 * c2, w1 + w2) for c1, w1 in out for c2, w2 in inner]
-            return out
+                value = self.product(value, inner)
+            return value
         raise DslError(f"unexpected token {t.value!r}", t.line, t.col)
 
     def _exponent(self) -> int | None:
         t = self.s.peek()
         if t.kind == "OP" and t.value == "^":
             self.s.next()
-            return self._signed_int()
+            return self.s.signed_int()
         return None
+
+
+def _ordered_product(a: Element, b: Element) -> Element:
+    """Product without rules: every concatenation of a term of a with a term
+    of b must already be in ascending generator order."""
+    terms = []
+    for ea, ca in a.terms.items():
+        top = max((i for i, e in enumerate(ea) if e), default=0)
+        for eb, cb in b.terms.items():
+            if any(eb[:top]):
+                raise PresentationError("rule right-hand side must be in normal form "
+                                        "(ascending generator order)")
+            terms.append((tuple(x + y for x, y in zip(ea, eb)), ca * cb))
+    return Element(terms)
+
+
+def _evaluate(text: str, context: ParamContext, generators, invertible,
+              product) -> Element:
+    stream = _Stream(tokenize(text))
+    stream.skip_newlines()
+    value = _ExprParser(stream, context, generators, invertible, product).expr()
+    stream.skip_newlines()
+    t = stream.peek()
+    if t.kind != "EOF":
+        raise DslError(f"trailing input {t.value!r}", t.line, t.col)
+    return value
 
 
 def parse_coefficient(context: ParamContext, text: str) -> Coefficient:
     """Parse a pure coefficient expression over the given parameter context."""
-    stream = _Stream(tokenize(text))
-    stream.skip_newlines()
-    terms = _ExprParser(stream, context, {}).parse()
-    stream.skip_newlines()
-    t = stream.peek()
-    if t.kind != "EOF":
-        raise DslError(f"trailing input {t.value!r}", t.line, t.col)
-    total = Coefficient.zero(context)
-    for c, w in terms:
-        if w:
-            raise DslError("generators are not allowed in a coefficient")
-        total = total + c
-    return total
+    value = _evaluate(text, context, (), (), _ordered_product)
+    return value.terms.get((), Coefficient.zero(context))
 
 
 def evaluate_expression(p: Presentation, text: str) -> Element:
-    """Parse an expression over a presentation and reduce it to normal form."""
-    stream = _Stream(tokenize(text))
-    stream.skip_newlines()
-    gen_index = {g: i for i, g in enumerate(p.generators)}
-    terms = _ExprParser(stream, p.context, gen_index).parse()
-    stream.skip_newlines()
-    t = stream.peek()
-    if t.kind != "EOF":
-        raise DslError(f"trailing input {t.value!r}", t.line, t.col)
-    total = Element()
-    for c, w in terms:
-        total = total + normal_form(p, list(w), scalar=c)
-    return total
+    """Parse an expression over a presentation and reduce it to normal form.
+
+    The whole expression is one engine call: its products share one budget
+    of p.fuel rewrites."""
+    budget = Fuel(p.fuel)
+    return _evaluate(text, p.context, p.generators, p.invertible,
+                     lambda a, b: product(p, a, b, budget))
 
 
 # -- presentation files -------------------------------------------------------
@@ -397,22 +407,14 @@ def _parse_presentation(stream: _Stream) -> Presentation:
             if (hi, lo) in raw_rules:
                 raise DslError(f"duplicate rule for pair ({a}, {b})",
                                lhs_tok.line, lhs_tok.col)
-            terms = _ExprParser(stream, context, gen_index).parse()
+            try:
+                element = _ExprParser(stream, context, gens, (invertible,) * n,
+                                      _ordered_product).expr()
+            except (PresentationError, NegativeExponent) as exc:
+                raise DslError(str(exc), lhs_tok.line, lhs_tok.col) from exc
             if not stream.at_line_end():
                 t = stream.peek()
                 raise DslError(f"trailing input {t.value!r}", t.line, t.col)
-            element = Element()
-            for c, w in terms:
-                exp = [0] * n
-                last = -1
-                for idx, e in w:
-                    if idx < last:
-                        raise DslError("rule right-hand side must be in normal form "
-                                       "(ascending generator order)",
-                                       lhs_tok.line, lhs_tok.col)
-                    last = idx
-                    exp[idx] += e
-                element = element + Element({tuple(exp): c})
             raw_rules[(hi, lo)] = (element, lhs_tok)
             stream.skip_newlines()
 
@@ -447,12 +449,10 @@ def _parse_presentation(stream: _Stream) -> Presentation:
                                gtok.line, gtok.col)
             stream.expect("OP", "=")
             stream.expect("OP", "(")
-            vec = []
-            expr = _ExprParser(stream, context, gen_index)
-            vec.append(expr._signed_int())
+            vec = [stream.signed_int()]
             while stream.peek().kind == "OP" and stream.peek().value == ",":
                 stream.next()
-                vec.append(expr._signed_int())
+                vec.append(stream.signed_int())
             stream.expect("OP", ")")
             if gen_index[gtok.value] in wmap:
                 raise DslError(f"duplicate weight for {gtok.value!r}", gtok.line, gtok.col)
@@ -486,8 +486,7 @@ def print_presentation(p: Presentation) -> str:
         lines.append(gline)
     if p.ngens >= 2:
         lines.append("rules")
-        for (j, i) in sorted(p.rules):
-            rule = p.rules[(j, i)]
+        for (j, i), rule in sorted(p.rules.items()):
             swap_exp = tuple(1 if t in (i, j) else 0 for t in range(p.ngens))
             rhs = Element({swap_exp: rule.swap.to_coefficient(p.context)}) + rule.tail
             lines.append(f"{p.generators[j]} * {p.generators[i]} = "

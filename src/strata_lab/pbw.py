@@ -108,11 +108,6 @@ class Element:
             return Element()
         return Element({e: v * c for e, v in self.terms.items()})
 
-    def scale_unit(self, unit: UnitMonomial, power: int = 1) -> "Element":
-        res = Element.__new__(Element)
-        res.terms = {e: v.scale_unit(unit, power) for e, v in self.terms.items()}
-        return res
-
     def support(self):
         return self.terms.keys()
 
@@ -158,8 +153,7 @@ class Presentation:
             rank = len(wts[0]) if n else 0
         if any(len(w) != rank for w in wts):
             raise PresentationError("weight vectors of unequal rank")
-        if not isinstance(fuel, int) or fuel <= 0:
-            raise PresentationError("fuel must be a positive integer")
+        Fuel(fuel)  # rejects a non-positive budget
 
         need = {(j, i) for j in range(n) for i in range(j)}
         got = set(rules)
@@ -225,10 +219,14 @@ class Presentation:
 # -- reduction core ---------------------------------------------------------
 
 
-class _Fuel:
+class Fuel:
+    """A rewrite budget shared by every reduction of one engine call."""
+
     __slots__ = ("left",)
 
     def __init__(self, budget: int):
+        if not isinstance(budget, int) or budget <= 0:
+            raise PresentationError("fuel must be a positive integer")
         self.left = budget
 
     def tick(self):
@@ -247,7 +245,26 @@ def _letters(exp: Sequence[int]) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _reduce(p: Presentation, items, fuel: _Fuel) -> dict[tuple[int, ...], Coefficient]:
+def _step(p: Presentation, coeff: Coefficient, word, k: int, out: list) -> None:
+    """Apply the rule of the descending pair at position k of a letter word,
+    appending the resulting (coefficient, word) items to out."""
+    (g, e), (h, f) = word[k], word[k + 1]
+    rule = p.rules[(g, h)]
+    head, rest = word[:k], word[k + 2:]
+    if e == 1 and f == 1:
+        out.append((coeff.scale_unit(rule.swap), head + ((h, 1), (g, 1)) + rest))
+        for texp, tc in rule.tail.terms.items():
+            out.append((coeff * tc, head + _letters(texp) + rest))
+    else:
+        if rule.tail:
+            raise PresentationError(
+                f"inverse letter meets the tailful rule ({g},{h})")
+        out.append((coeff.scale_unit(rule.swap, e * f),
+                    head + ((h, f), (g, e)) + rest))
+
+
+def _reduce(p: Presentation, items, fuel: Fuel) -> dict[tuple[int, ...], Coefficient]:
+    """Rewrite the leftmost descending pair of each word until none is left."""
     n = p.ngens
     out: dict[tuple[int, ...], Coefficient] = {}
     stack = list(items)
@@ -255,12 +272,12 @@ def _reduce(p: Presentation, items, fuel: _Fuel) -> dict[tuple[int, ...], Coeffi
         coeff, word = stack.pop()
         if not coeff:
             continue
-        k = -1
-        for t in range(len(word) - 1):
-            if word[t][0] > word[t + 1][0]:
-                k = t
+        for k in range(len(word) - 1):
+            if word[k][0] > word[k + 1][0]:
+                fuel.tick()
+                _step(p, coeff, word, k, stack)
                 break
-        if k < 0:
+        else:
             exps = [0] * n
             for idx, s in word:
                 exps[idx] += s
@@ -274,22 +291,6 @@ def _reduce(p: Presentation, items, fuel: _Fuel) -> dict[tuple[int, ...], Coeffi
                 out[key] = c0
             elif key in out:
                 del out[key]
-            continue
-        fuel.tick()
-        (g, e), (h, f) = word[k], word[k + 1]
-        rule = p.rules[(g, h)]
-        head, rest = word[:k], word[k + 2:]
-        if e == 1 and f == 1:
-            stack.append((coeff.scale_unit(rule.swap), head + ((h, 1), (g, 1)) + rest))
-            if rule.tail:
-                for texp, tc in rule.tail.terms.items():
-                    stack.append((coeff * tc, head + _letters(texp) + rest))
-        else:
-            if rule.tail:
-                raise PresentationError(
-                    f"inverse letter meets the tailful rule ({g},{h})")
-            stack.append((coeff.scale_unit(rule.swap, e * f),
-                          head + ((h, f), (g, e)) + rest))
     return out
 
 
@@ -317,54 +318,38 @@ def normal_form(p: Presentation, word, scalar: Coefficient | None = None,
         scalar = Coefficient.one(p.context)
     elif scalar.context != p.context:
         raise ContextMismatch("scalar over a different context")
-    res = _reduce(p, [(scalar, tuple(letters))], _Fuel(fuel or p.fuel))
-    return Element(res)
+    budget = Fuel(p.fuel if fuel is None else fuel)
+    return Element(_reduce(p, [(scalar, tuple(letters))], budget))
+
+
+def product(p: Presentation, a: Element, b: Element, fuel: Fuel) -> Element:
+    """Reduce every concatenation of a term of a with a term of b, drawing
+    on the caller's budget."""
+    n = p.ngens
+    if any(len(exp) != n for x in (a, b) for exp in x.terms):
+        raise PresentationError("element width does not match presentation")
+    right = [(cb, _letters(eb)) for eb, cb in b.terms.items()]
+    items = []
+    for ea, ca in a.terms.items():
+        la = _letters(ea)
+        items.extend((ca * cb, la + lb) for cb, lb in right)
+    return Element(_reduce(p, items, fuel))
 
 
 def multiply(p: Presentation, a: Element, b: Element,
              fuel: int | None = None) -> Element:
     """Product of two normal-form elements, again in normal form."""
-    budget = _Fuel(fuel or p.fuel)
-    out: dict[tuple[int, ...], Coefficient] = {}
-    pending = []
-    for ea, ca in a.terms.items():
-        if len(ea) != p.ngens:
-            raise PresentationError("element width does not match presentation")
-        la = _letters(ea)
-        for eb, cb in b.terms.items():
-            if len(eb) != p.ngens:
-                raise PresentationError("element width does not match presentation")
-            c = ca * cb
-            if not c:
-                continue
-            lb = _letters(eb)
-            if not la or not lb or la[-1][0] <= lb[0][0]:
-                key = tuple(x + y for x, y in zip(ea, eb))
-                c0 = out.get(key)
-                c0 = c if c0 is None else c0 + c
-                if c0:
-                    out[key] = c0
-                elif key in out:
-                    del out[key]
-            else:
-                pending.append((c, la + lb))
-    if pending:
-        for key, c in _reduce(p, pending, budget).items():
-            c0 = out.get(key)
-            c0 = c if c0 is None else c0 + c
-            if c0:
-                out[key] = c0
-            elif key in out:
-                del out[key]
-    return Element(out)
+    return product(p, a, b, Fuel(p.fuel if fuel is None else fuel))
 
 
 def power(p: Presentation, a: Element, k: int, fuel: int | None = None) -> Element:
+    """a^k, multiplied left to right under one budget."""
     if k < 0:
         raise ValueError("negative powers of general elements are not defined")
+    budget = Fuel(p.fuel if fuel is None else fuel)
     res = one(p)
     for _ in range(k):
-        res = multiply(p, res, a, fuel=fuel)
+        res = product(p, res, a, budget)
     return res
 
 
@@ -422,31 +407,21 @@ class OverlapReport:
     note: str = ""
 
 
-def _first_step(p: Presentation, k: int, j: int, i: int, top: bool):
-    """Force the first rewrite of x_k x_j x_i at the chosen overlap side."""
-    c1 = Coefficient.one(p.context)
-    if top:
-        rule = p.rules[(k, j)]
-        items = [(c1.scale_unit(rule.swap), ((j, 1), (k, 1), (i, 1)))]
-        for texp, tc in rule.tail.terms.items():
-            items.append((tc, _letters(texp) + ((i, 1),)))
-    else:
-        rule = p.rules[(j, i)]
-        items = [(c1.scale_unit(rule.swap), ((k, 1), (i, 1), (j, 1)))]
-        for texp, tc in rule.tail.terms.items():
-            items.append((tc, ((k, 1),) + _letters(texp)))
-    return items
-
-
 def diamond_check(p: Presentation, fuel: int | None = None) -> list[OverlapReport]:
     """Resolve every overlap x_k x_j x_i by both critical reduction orders."""
+    size = p.fuel if fuel is None else fuel
+    Fuel(size)  # rejected even when there is no overlap to resolve
+    c1 = Coefficient.one(p.context)
     reports = []
     for i, j, k in itertools.combinations(range(p.ngens), 3):
+        word = ((k, 1), (j, 1), (i, 1))
+        top: list = []
+        bot: list = []
+        _step(p, c1, word, 0, top)
+        _step(p, c1, word, 1, bot)
+        budget = Fuel(size)
         try:
-            budget = _Fuel(fuel or p.fuel)
-            top = _reduce(p, _first_step(p, k, j, i, True), budget)
-            bot = _reduce(p, _first_step(p, k, j, i, False), budget)
-            diff = Element(top) - Element(bot)
+            diff = Element(_reduce(p, top, budget)) - Element(_reduce(p, bot, budget))
             reports.append(OverlapReport((k, j, i), not diff, diff))
         except FuelExhausted:
             reports.append(OverlapReport((k, j, i), False, None, "fuel exhausted"))

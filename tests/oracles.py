@@ -114,6 +114,45 @@ def reduce_rightmost(p: Presentation, letters, coeff) -> Element:
     return Element(out)
 
 
+def random_expression(p: Presentation, rng: random.Random, depth: int = 4):
+    """A random DSL expression over p and its expansion into words.
+
+    Returns (text, terms), where terms is a list of (Coefficient, letters)
+    pairs whose sum the expression denotes: every product and power is
+    expanded into written words, so the words can be reduced independently
+    of how the expression is multiplied.
+    """
+    ctx = p.context
+    if depth == 0 or rng.random() < 0.2:
+        kind = rng.choice(["gen"] * 6 + ["int", "param"])
+        if kind == "gen" or (kind == "param" and not ctx.symbols):
+            i = rng.randrange(p.ngens)
+            e = rng.choice([1, 1, 2] + ([-1, -2] if p.invertible[i] else []))
+            text = p.generators[i] if e == 1 else f"{p.generators[i]}^{e}"
+            return text, [(Coefficient.one(ctx), ((i, 1 if e > 0 else -1),) * abs(e))]
+        if kind == "int":
+            v = rng.choice([1, 2, 3, 5])
+            return str(v), [(Coefficient.integer(ctx, v), ())]
+        sym = rng.choice(ctx.symbols)
+        e = rng.choice([1, -1, 2])
+        return f"{sym}^{e}", [(Coefficient.symbol(ctx, sym, e), ())]
+    kind = rng.choice(["sum", "difference", "product", "power"])
+    a_text, a = random_expression(p, rng, depth - 1)
+    if kind == "power":
+        k = rng.choice([0, 1, 2, 2, 3])
+        terms = [(Coefficient.one(ctx), ())]
+        for _ in range(k):
+            terms = [(c1 * c2, w1 + w2) for c1, w1 in terms for c2, w2 in a]
+        return f"({a_text})^{k}", terms
+    b_text, b = random_expression(p, rng, depth - 1)
+    if kind == "product":
+        return (f"({a_text})*({b_text})",
+                [(c1 * c2, w1 + w2) for c1, w1 in a for c2, w2 in b])
+    if kind == "sum":
+        return f"{a_text} + {b_text}", a + b
+    return f"{a_text} - ({b_text})", a + [(-c, w) for c, w in b]
+
+
 # -- monomial-ideal primeness oracle ------------------------------------------
 
 

@@ -1,13 +1,17 @@
 import hashlib
 import json
+import random
+import zlib
 
 import pytest
 
 from strata_lab import zoo
 from strata_lab.cli import run
 from strata_lab.coeff import Coefficient
-from strata_lab.dsl import DslError, parse, print_presentation
-from strata_lab.pbw import monomial, normal_form
+from strata_lab.dsl import DslError, evaluate_expression, parse, print_presentation
+from strata_lab.pbw import Element, monomial, normal_form
+
+import oracles
 
 
 PLANE_FILE = """\
@@ -90,6 +94,52 @@ def test_parse_error_carries_location():
         assert exc.line == 5
     else:
         pytest.fail("expected a DslError")
+
+
+@pytest.mark.parametrize("rhs", ["q^-1 * x2 * x1",
+                                 "q^-1 * (x2 + x1) * x1",
+                                 "q^-1 * x1 * x2 + x1^-1",
+                                 "q^-1 * x1 * x2 + 2 * x2^-2 * x1"])
+def test_rule_errors_point_at_the_rule(rhs):
+    # out-of-order products and negative powers of polynomial generators are
+    # reported at the start of the rule they appear in
+    with pytest.raises(DslError) as info:
+        parse(PLANE_FILE.replace("q^-1 * x1 * x2", rhs))
+    assert (info.value.line, info.value.col) == (5, 1)
+    assert "normal form" in info.value.message or "negative power" in info.value.message
+
+
+EXPRESSION_ALGEBRAS = {
+    "quantum_affine_generic(3)": lambda: zoo.quantum_affine_generic(3),
+    "quantum_affine_single(3)": lambda: zoo.quantum_affine_single(3),
+    "quantum_torus_generic(3)": lambda: zoo.quantum_torus_generic(3),
+    "quantum_torus_single(2)": lambda: zoo.quantum_torus_single(2),
+    "quantum_matrices_generic(2, 2)": lambda: zoo.quantum_matrices_generic(2, 2),
+    "quantum_matrices_single(2, 3)": lambda: zoo.quantum_matrices_single(2, 3),
+    "quantized_weyl_generic(2)": lambda: zoo.quantized_weyl_generic(2),
+    "quantum_symplectic(2)": lambda: zoo.quantum_symplectic(2),
+    "quantum_euclidean(4)": lambda: zoo.quantum_euclidean(4),
+}
+
+
+@pytest.mark.parametrize("family", sorted(EXPRESSION_ALGEBRAS))
+def test_expressions_match_the_rightmost_reducer(family):
+    # the DSL multiplies as it parses; the oracle expands every written word
+    # and reduces each one rightmost-first
+    p = EXPRESSION_ALGEBRAS[family]()
+    seed = zlib.crc32(family.encode())
+    print(f"seed {seed}")
+    rng = random.Random(seed)
+    checked = 0
+    while checked < 40:
+        text, terms = oracles.random_expression(p, rng)
+        if len(terms) > 64 or max(len(w) for _, w in terms) > 8:
+            continue
+        want = Element()
+        for c, w in terms:
+            want = want + oracles.reduce_rightmost(p, w, c)
+        assert evaluate_expression(p, text) == want, text
+        checked += 1
 
 
 def test_round_trip_all_zoo_presentations():
@@ -285,6 +335,24 @@ def test_fuel_flag_and_env(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("STRATA_LAB_FUEL")
     code, out = invoke(capsys, "nf", path, "X22*X11*X21")
     assert code == 0
+
+
+def test_expression_has_one_budget(tmp_path, capsys):
+    # each X22*X11 takes one rewrite; the sum of two needs two from one budget
+    path = write(tmp_path, "use quantum_matrices(m=2, n=2)\n")
+    code, out = invoke(capsys, "nf", path, "X22*X11", "--fuel", "1")
+    assert code == 0
+    code, out = invoke(capsys, "nf", path, "X22*X11 + X22*X11", "--fuel", "1")
+    assert code == 1
+    assert report_of(out)["results"]["message"] == "rewrite budget exceeded"
+
+
+@pytest.mark.parametrize("command", ["qdet", "qdet-verify", "sl-check"])
+def test_matrix_commands_take_no_fuel(capsys, command):
+    # they build their own presentation, so a budget would have nothing to bound
+    code, out = invoke(capsys, command, "--n", "2", "--fuel", "1")
+    assert code == 2
+    assert out == ""
 
 
 def test_wrong_algebra_kind_is_a_usage_error(tmp_path, capsys):

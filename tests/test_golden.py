@@ -1,8 +1,12 @@
 """Golden reports: the sha256 of stdout and the exit code of the stratification,
-Hilbert and normality commands, pinned so that refactors keep the bytes.
+Hilbert, normality, confluence and expression commands, pinned so that
+refactors keep the bytes.
 
-The digests were recorded before the structural checks in strat, pbw and
-grading replaced their per-prime and per-monomial recomputations.
+The stratification, Hilbert and normality digests were recorded before the
+structural checks in strat, pbw and grading replaced their per-prime and
+per-monomial recomputations; the verify, nf, weights and eigencheck digests
+were recorded while the DSL still expanded every product into words and
+reduced each word on its own.
 """
 
 import hashlib
@@ -19,6 +23,10 @@ SOURCES = {
     "qa4s": "use quantum_affine(n=4, single_param=true)\n",
     "qa5s": "use quantum_affine(n=5, single_param=true)\n",
     "m33": "use quantum_matrices(m=3, n=3)\n",
+    "qw2": "use quantized_weyl(n=2)\n",
+    "sp3": "use quantum_symplectic(n=3)\n",
+    "eu5": "use quantum_euclidean(n=5)\n",
+    "qt3": "use quantum_torus(n=3)\n",
 }
 
 # (source, argv after the file) -> (exit code, sha256 of stdout); the 3x3
@@ -81,6 +89,27 @@ GOLDEN = {
     ('m33', ('witness', '--from', '1', '--to', '1,2,3')): (2, "ea30541251f4ee0fc09474816628c92b9fdc33e0a7758edcd410758e7f42cb57"),
     ('m33', ('hilbert',)): (0, "40d7993bf5c279b6f83738e32111a4f17c5ceaedc73bb6fa20047b449ec9e7b6"),
     ('m33', ('normalcheck', 'X12')): (0, "a99c1b6157a05b4a886590f4cb3feeb6199c465301e565f247be4290a48cd562"),
+    ('qw2', ('verify',)): (0, "81d77c5ebb15429ea091e8392e0a7f742f06f82f71ad8b4ea03b589c448cd19c"),
+    ('qw2', ('nf', 'x2*y2*x1*y1 + (x1 + y2)^2 - q_1*y1*x2')): (0, "494a97c71047deddd73956e6741f900c1ad07185b7f9edcfa6c0aac71373a6da"),
+    ('qw2', ('weights', 'x2*x1 - (y2 + 2*x1)*y1')): (0, "f2b7db00849f98fa32f0863249e6502f9b3c7fca986613937ff18a83701c5525"),
+    ('qw2', ('eigencheck', '(x2*y1)^2 + x1*y2')): (0, "f8887c9b48f221d59b4db680887a63c1423cbf7a548cb514f93c177faea17d6b"),
+    ('sp3', ('verify',)): (0, "4a009ef889040e1bed47e8f00a707fa65e4658a92e2aa9911c599a556e009610"),
+    ('sp3', ('nf', 'x6*x5*x4*x3 + (x4 + x1)^2')): (0, "4abd0a50b3d718216118d2566475224f46cef57e2de55ebff0544d145fd83abd"),
+    ('sp3', ('weights', 'x6*x1 + x5*x2 - (x4*x3)^2')): (0, "26d64e8f31e777c0d28d6214aea7c3101d9693c288b516e5155533e3914390cf"),
+    ('sp3', ('eigencheck', 'x6*x1 - q^2*x1*x6')): (0, "c555697df430d28ed22c0d23f2c431980a14d35e8cd1332c908d73f1ffda8868"),
+    ('eu5', ('verify',)): (0, "d8748eb80fbf345dcdd5d4339898a5664f217d1f711e2bdc153cb8c18803652d"),
+    ('eu5', ('nf', 'x5*x3*x1 + (x2 - x4)^2')): (0, "ad88395bca786bcdb9d5fff97abcc52081eca77ad1fa146efc55e505f95fda1e"),
+    ('eu5', ('weights', 'x5*x1 + x4*x2 - 3*x3^2')): (0, "ab0c0be5f9991c99bc9d142ba27407eeab65f9c3026cc2f8be5330499b0d60b4"),
+    ('eu5', ('eigencheck', '(x5 + x1)*(x4 + x2)')): (0, "7c1e0ed454595679aac4b6c54ca25b06af9d8192e3dfb06b091b24011782b5e5"),
+    ('m33', ('verify',)): (0, "74285fef4e5de1aa2fa533263b403944c51f1e357f26a3be6bf5e686a8f9b5fe"),
+    ('m33', ('nf', 'X33*X22*X11 - (X13 + X31)^2')): (0, "2a22d6ea6837d3c6aad9c53efb4746a7bff78e3e795b35d8717efc5a85b5f47d"),
+    ('m33', ('weights', 'X33*X11 - lam^-1*X22*(X21 + X12)')): (0, "0d9aaa82245141b05c119e195725142f9223718aedb49ee6339d566471a1102f"),
+    ('m33', ('eigencheck', 'X33*X22*X11 + X13*X22*X31')): (0, "4226d00b4c8e54c1717985b24a37b871a35c157bf47a39a72e622e379e53dbef"),
+    ('qt3', ('verify',)): (0, "ed844fcf11d99600ac3763465889b9e5ec90d5070fb1ebdd7fb4958cf631e3bc"),
+    ('qt3', ('nf', 'x3^-1*x2*x1^-2 + (x1^-1 + x3)^2')): (0, "6d54603b9a28aabee3b59c8de584f539ea2f5bfac020fa1a58ab79c61af8408a"),
+    ('qt3', ('weights', 'x3*x1^-1 - 2*q_1_2*(x2*x1)^2')): (0, "39711c369bfc3a476fdb4b5d1656cf8534fb5218a7aaccec3ac7630453d55c8d"),
+    ('qt3', ('eigencheck', '(x3^-1*x2)^3')): (0, "91ea9024d6bf16d4da3e0962f789a935e0da61c2884fa8c8fed17e184c0a2b20"),
+    ('qt3', ('nf', 'x3*x1^-1 - 2*q_1_2*(x2*x1)^2', '--specialize', 'q_1_2=2,q_1_3=-1/3,q_2_3=5')): (0, "dcf1662e4caa2190717a56a163877326ae891cd15a0c7aec78e2aae95cdc349e"),
 }
 
 

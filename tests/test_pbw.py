@@ -8,7 +8,8 @@ from strata_lab.grading import is_homogeneous, weight_of
 from strata_lab.pbw import (Element, FuelExhausted, NegativeExponent,
                             Presentation, PresentationError, Rule,
                             diamond_check, gen, hilbert_count, leading_term,
-                            monomial, multiply, normal_form, one, order_key)
+                            monomial, multiply, normal_form, one, order_key,
+                            power)
 
 import oracles
 
@@ -194,6 +195,35 @@ def test_fuel_exhaustion():
     m2 = zoo.quantum_matrices_generic(2, 2).with_fuel(1)
     with pytest.raises(FuelExhausted):
         normal_form(m2, [("X22", 1), ("X11", 1), ("X21", 1)])
+
+
+@pytest.mark.parametrize("fuel", [0, -1])
+def test_nonpositive_fuel_is_rejected(plane, m2, fuel):
+    x = gen(m2, "X11")
+    calls = [
+        lambda: normal_form(m2, [("X22", 1), ("X11", 1)], fuel=fuel),
+        lambda: multiply(m2, x, x, fuel=fuel),
+        lambda: power(m2, x, 2, fuel=fuel),
+        lambda: diamond_check(m2, fuel=fuel),
+        lambda: diamond_check(plane, fuel=fuel),  # no overlap to resolve
+        lambda: m2.with_fuel(fuel),
+    ]
+    for call in calls:
+        with pytest.raises(PresentationError, match="positive"):
+            call()
+
+
+def test_per_call_fuel_is_the_budget(plane, m2):
+    word = [("X22", 1), ("X11", 1), ("X21", 1)]
+    with pytest.raises(FuelExhausted):
+        normal_form(m2, word, fuel=1)
+    assert normal_form(m2, word, fuel=None) == normal_form(m2, word)
+    # (x1+x2)^2 takes one rewrite, and multiplying it by x1+x2 three more
+    a = gen(plane, "x1") + gen(plane, "x2")
+    a2 = power(plane, a, 2, fuel=1)
+    assert multiply(plane, a2, a, fuel=3) == power(plane, a, 3)
+    with pytest.raises(FuelExhausted):
+        power(plane, a, 3, fuel=3)  # both products draw on one budget
 
 
 def test_negative_exponent_rejected(plane):
