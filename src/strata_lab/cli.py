@@ -319,9 +319,6 @@ def _nonnegative(text: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    env_fuel = os.environ.get("STRATA_LAB_FUEL")
-    default_fuel = int(env_fuel) if env_fuel else DEFAULT_FUEL
-
     parser = argparse.ArgumentParser(
         prog="strata-lab",
         description="Exact rewriting, determinant laws, and stratification reports "
@@ -330,8 +327,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_file(name, **kw):
         cmd = sub.add_parser(name, **kw)
-        cmd.add_argument("--fuel", type=int, default=default_fuel,
-                         help="rewrite-step budget per engine call")
+        cmd.add_argument("--fuel", type=int,
+                         help="rewrite-step budget per engine call "
+                              "(default: STRATA_LAB_FUEL, else 10^6)")
         cmd.add_argument("file", help="presentation file, or - for stdin")
         return cmd
 
@@ -382,14 +380,18 @@ def _envelope(command: str, source: str, status: str, results) -> str:
 def run(argv) -> int:
     """Dispatch one subcommand; returns the process exit code."""
     try:
-        parser = _build_parser()
-    except ValueError as exc:
-        sys.stderr.write(f"strata-lab: bad STRATA_LAB_FUEL value: {exc}\n")
-        return 2
-    try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    if hasattr(args, "file"):  # only the file commands take a rewrite budget
+        env_fuel = os.environ.get("STRATA_LAB_FUEL")
+        try:
+            default_fuel = int(env_fuel) if env_fuel else DEFAULT_FUEL
+        except ValueError as exc:
+            sys.stderr.write(f"strata-lab: bad STRATA_LAB_FUEL value: {exc}\n")
+            return 2
+        if args.fuel is None:
+            args.fuel = default_fuel
     handler = _HANDLERS[args.command]
     source = ""
     try:

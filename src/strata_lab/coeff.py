@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, neg
 from typing import Iterable, Mapping
 
 
@@ -90,11 +91,11 @@ class UnitMonomial:
         object.__setattr__(self, "exponents", tuple(self.exponents))
 
     def invert(self) -> "UnitMonomial":
-        return UnitMonomial(self.sign, tuple(-e for e in self.exponents))
+        return UnitMonomial(self.sign, tuple(map(neg, self.exponents)))
 
     def __mul__(self, other: "UnitMonomial") -> "UnitMonomial":
         return UnitMonomial(self.sign * other.sign,
-                            tuple(a + b for a, b in zip(self.exponents, other.exponents)))
+                            tuple(map(add, self.exponents, other.exponents)))
 
     def power(self, k: int) -> "UnitMonomial":
         sign = self.sign if k % 2 else 1
@@ -201,7 +202,7 @@ class Coefficient:
         out: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
+                exp = tuple(map(add, e1, e2))
                 c0 = out.get(exp, 0) + c1 * c2
                 if c0:
                     out[exp] = c0
@@ -233,7 +234,7 @@ class Coefficient:
         sign = unit.sign if power % 2 else 1
         res = Coefficient.__new__(Coefficient)
         res.context = self.context
-        res.terms = {tuple(a + b for a, b in zip(e, shift)): sign * c
+        res.terms = {tuple(map(add, e, shift)): sign * c
                      for e, c in self.terms.items()}
         return res
 

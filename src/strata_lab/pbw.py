@@ -5,8 +5,20 @@ A presentation fixes a generator order and, for every descending pair
 scalar is a unit monomial and whose tail is already a combination of
 ordered monomials.  Elements are sparse maps from exponent vectors to
 coefficients; reduction repeatedly rewrites the leftmost descending
-adjacent pair of letters, with a fuel bound guaranteeing termination on
-arbitrary user input.
+adjacent pair of letters, with a fuel bound (a count of rule applications)
+guaranteeing termination on arbitrary user input.
+
+Which word is rewritten next, and where, depends only on the words: a nonzero
+coefficient times a swap unit or a tail coefficient is never zero, so the
+coefficients only ride along (Bergman, The diamond lemma for ring theory,
+Adv. Math. 29, 1978).  A pending item therefore carries its coefficient in
+factored form: the index of its input scalar, the sorted tail coefficients
+it has picked up, and a sign and a parameter exponent shift that together
+are the product of its swap units.  A swap exchanges two letters of the
+item's mutable word in place and resumes the scan one letter to the left, so
+a run of tail-free swaps costs time linear in its length.  Finished words are
+grouped by monomial, input scalar and tail coefficients, and each group's
+coefficient is multiplied out once, after the last rewrite.
 
 Presentations and elements are immutable and normal_form/multiply are pure;
 diamond_check reports are sorted by triple, so results do not depend on
@@ -18,6 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import comb
+from operator import add, sub
 from typing import Mapping, Sequence
 
 from .coeff import Coefficient, ContextMismatch, ParamContext, UnitMonomial
@@ -127,7 +140,7 @@ class Presentation:
     """Ordered generators, descending-pair rules, a torus grading, and a fuel bound."""
 
     __slots__ = ("name", "context", "generators", "invertible", "rules",
-                 "weights", "rank", "fuel", "_gen_index")
+                 "weights", "rank", "fuel", "_gen_index", "_moves", "_factors")
 
     def __init__(self, context: ParamContext, generators: Sequence[str],
                  rules: Mapping[tuple[int, int], Rule],
@@ -187,6 +200,17 @@ class Presentation:
         self.rank = rank
         self.fuel = fuel
         self._gen_index = {g: k for k, g in enumerate(gens)}
+        # _moves[hi][lo] = (swap sign, swap exponents, ((factor id, tail letters), ...)),
+        # the rule of a descending pair as _step applies it; _factors[id] is
+        # the coefficient of that tail term.
+        self._moves = [[None] * n for _ in range(n)]
+        self._factors = []
+        for (j, i), rule in self.rules.items():
+            tails = []
+            for exp, c in rule.tail.terms.items():
+                tails.append((len(self._factors), _letters(exp)))
+                self._factors.append(c)
+            self._moves[j][i] = (rule.swap.sign, rule.swap.exponents, tuple(tails))
 
     @property
     def ngens(self) -> int:
@@ -235,63 +259,100 @@ class Fuel:
             raise FuelExhausted("rewrite budget exceeded")
 
 
-def _letters(exp: Sequence[int]) -> tuple[tuple[int, int], ...]:
+def _letters(exp: Sequence[int]) -> list[tuple[int, int]]:
     out = []
     for i, e in enumerate(exp):
         if e > 0:
             out.extend([(i, 1)] * e)
         elif e < 0:
             out.extend([(i, -1)] * (-e))
-    return tuple(out)
+    return out
 
 
-def _step(p: Presentation, coeff: Coefficient, word, k: int, out: list) -> None:
-    """Apply the rule of the descending pair at position k of a letter word,
-    appending the resulting (coefficient, word) items to out."""
-    (g, e), (h, f) = word[k], word[k + 1]
-    rule = p.rules[(g, h)]
-    head, rest = word[:k], word[k + 2:]
-    if e == 1 and f == 1:
-        out.append((coeff.scale_unit(rule.swap), head + ((h, 1), (g, 1)) + rest))
-        for texp, tc in rule.tail.terms.items():
-            out.append((coeff * tc, head + _letters(texp) + rest))
-    else:
-        if rule.tail:
-            raise PresentationError(
-                f"inverse letter meets the tailful rule ({g},{h})")
-        out.append((coeff.scale_unit(rule.swap, e * f),
-                    head + ((h, f), (g, e)) + rest))
+def _step(p: Presentation, item, k: int, pending: list) -> None:
+    """Apply the rule of the descending pair at position k of an item's word.
+
+    Pushes the swapped item onto pending, reusing the item's word list, and
+    then one item per tail term, so the tails are reduced first.  Every new
+    item resumes its scan at k-1: the letters before k are already ordered.
+    """
+    base, factors, sign, shift, word, _ = item
+    a, b = word[k], word[k + 1]
+    usign, uexps, tails = p._moves[a[0]][b[0]]
+    resume = k - 1 if k else 0
+    if tails and (a[1] != 1 or b[1] != 1):
+        raise PresentationError(f"inverse letter meets the tailful rule ({a[0]},{b[0]})")
+    word[k], word[k + 1] = b, a
+    # swap^(e*f) with e, f = +-1: the sign is unchanged by the power
+    pending.append((base, factors, sign * usign,
+                    tuple(map(add if a[1] == b[1] else sub, shift, uexps)), word, resume))
+    for fid, letters in tails:
+        pending.append((base, tuple(sorted(factors + (fid,))), sign, shift,
+                        word[:k] + letters + word[k + 2:], resume))
 
 
-def _reduce(p: Presentation, items, fuel: Fuel) -> dict[tuple[int, ...], Coefficient]:
-    """Rewrite the leftmost descending pair of each word until none is left."""
+def _reduce(p: Presentation, bases: list, pending: list, fuel: Fuel) -> Element:
+    """Rewrite the leftmost descending pair of each pending word until none is left.
+
+    A pending item is (base, factors, sign, shift, word, resume): its
+    coefficient is bases[base] times the tail coefficients p._factors[f] for
+    f in the sorted tuple factors, times sign * (parameters ** shift); word
+    is a mutable list of (generator, +-1) letters, ordered before position
+    resume.  The coefficients are multiplied out once, after the last rewrite.
+    """
     n = p.ngens
-    out: dict[tuple[int, ...], Coefficient] = {}
-    stack = list(items)
-    while stack:
-        coeff, word = stack.pop()
-        if not coeff:
-            continue
-        for k in range(len(word) - 1):
+    invertible = p.invertible
+    finished: dict = {}  # (monomial, base, factors) -> {shift: summed sign}
+    while pending:
+        item = pending.pop()
+        word = item[4]
+        for k in range(item[5], len(word) - 1):
             if word[k][0] > word[k + 1][0]:
                 fuel.tick()
-                _step(p, coeff, word, k, stack)
+                _step(p, item, k, pending)
                 break
         else:
             exps = [0] * n
             for idx, s in word:
                 exps[idx] += s
             for i, e in enumerate(exps):
-                if e < 0 and not p.invertible[i]:
+                if e < 0 and not invertible[i]:
                     raise NegativeExponent(f"negative power of {p.generators[i]}")
-            key = tuple(exps)
-            c0 = out.get(key)
-            c0 = coeff if c0 is None else c0 + coeff
-            if c0:
-                out[key] = c0
-            elif key in out:
-                del out[key]
-    return out
+            key = (tuple(exps), item[0], item[1])
+            shifts = finished.get(key)
+            if shifts is None:
+                finished[key] = {item[3]: item[2]}
+            else:
+                shifts[item[3]] = shifts.get(item[3], 0) + item[2]
+    return _multiply_out(p, bases, finished)
+
+
+def _multiply_out(p: Presentation, bases: list, finished: dict) -> Element:
+    """Sum the finished words: each distinct base * product of factors is
+    computed once, extending the longest product already known, and each
+    group's shift table is multiplied into it once."""
+    unit = {(0,) * len(p.context): 1}
+    products: dict = {}
+    out: dict = {}
+    for (mono, base, factors), shifts in finished.items():
+        c = products.get((base, factors))
+        if c is None:
+            t = len(factors)
+            while t and (base, factors[:t]) not in products:
+                t -= 1
+            c = products[(base, factors[:t])] if t else bases[base]
+            for t in range(t, len(factors)):
+                c = c * p._factors[factors[t]]
+                products[(base, factors[:t + 1])] = c
+        if shifts != unit:
+            table = Coefficient.__new__(Coefficient)
+            table.context, table.terms = p.context, {s: m for s, m in shifts.items() if m}
+            c = c * table
+        prev = out.get(mono)
+        out[mono] = c if prev is None else prev + c
+    res = Element.__new__(Element)
+    res.terms = {mono: c for mono, c in out.items() if c}
+    return res
 
 
 def _word_letters(p: Presentation, word) -> list[tuple[int, int]]:
@@ -319,7 +380,9 @@ def normal_form(p: Presentation, word, scalar: Coefficient | None = None,
     elif scalar.context != p.context:
         raise ContextMismatch("scalar over a different context")
     budget = Fuel(p.fuel if fuel is None else fuel)
-    return Element(_reduce(p, [(scalar, tuple(letters))], budget))
+    # a zero scalar is dropped unrewritten
+    pending = [(0, (), 1, (0,) * len(p.context), letters, 0)] if scalar else []
+    return _reduce(p, [scalar], pending, budget)
 
 
 def product(p: Presentation, a: Element, b: Element, fuel: Fuel) -> Element:
@@ -328,12 +391,15 @@ def product(p: Presentation, a: Element, b: Element, fuel: Fuel) -> Element:
     n = p.ngens
     if any(len(exp) != n for x in (a, b) for exp in x.terms):
         raise PresentationError("element width does not match presentation")
+    zero = (0,) * len(p.context)
     right = [(cb, _letters(eb)) for eb, cb in b.terms.items()]
-    items = []
+    bases, pending = [], []
     for ea, ca in a.terms.items():
         la = _letters(ea)
-        items.extend((ca * cb, la + lb) for cb, lb in right)
-    return Element(_reduce(p, items, fuel))
+        for cb, lb in right:
+            pending.append((len(bases), (), 1, zero, la + lb, 0))
+            bases.append(ca * cb)
+    return _reduce(p, bases, pending, fuel)
 
 
 def multiply(p: Presentation, a: Element, b: Element,
@@ -411,17 +477,17 @@ def diamond_check(p: Presentation, fuel: int | None = None) -> list[OverlapRepor
     """Resolve every overlap x_k x_j x_i by both critical reduction orders."""
     size = p.fuel if fuel is None else fuel
     Fuel(size)  # rejected even when there is no overlap to resolve
-    c1 = Coefficient.one(p.context)
+    bases = [Coefficient.one(p.context)]
+    zero = (0,) * len(p.context)
     reports = []
     for i, j, k in itertools.combinations(range(p.ngens), 3):
-        word = ((k, 1), (j, 1), (i, 1))
         top: list = []
         bot: list = []
-        _step(p, c1, word, 0, top)
-        _step(p, c1, word, 1, bot)
+        _step(p, (0, (), 1, zero, [(k, 1), (j, 1), (i, 1)], 0), 0, top)
+        _step(p, (0, (), 1, zero, [(k, 1), (j, 1), (i, 1)], 0), 1, bot)
         budget = Fuel(size)
         try:
-            diff = Element(_reduce(p, top, budget)) - Element(_reduce(p, bot, budget))
+            diff = _reduce(p, bases, top, budget) - _reduce(p, bases, bot, budget)
             reports.append(OverlapReport((k, j, i), not diff, diff))
         except FuelExhausted:
             reports.append(OverlapReport((k, j, i), False, None, "fuel exhausted"))

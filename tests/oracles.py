@@ -114,6 +114,33 @@ def reduce_rightmost(p: Presentation, letters, coeff) -> Element:
     return Element(out)
 
 
+def leftmost_rewrites(p: Presentation, letters) -> int:
+    """Number of rule applications in a leftmost-first reduction of a letter word.
+
+    A plain copy of the engine's strategy without coefficients: which words
+    are rewritten, and where, depends only on the words, because a nonzero
+    coefficient times a swap unit or a tail coefficient is never zero.
+    """
+    count = 0
+    stack = [tuple(letters)]
+    while stack:
+        w = stack.pop()
+        k = next((t for t in range(len(w) - 1) if w[t][0] > w[t + 1][0]), None)
+        if k is None:
+            continue
+        count += 1
+        (g, e), (h, f) = w[k], w[k + 1]
+        head, rest = w[:k], w[k + 2:]
+        stack.append(head + ((h, f), (g, e)) + rest)
+        if e == 1 and f == 1:
+            for texp in p.rules[(g, h)].tail.terms:
+                tl = []
+                for i, ev in enumerate(texp):
+                    tl.extend([(i, 1 if ev > 0 else -1)] * abs(ev))
+                stack.append(head + tuple(tl) + rest)
+    return count
+
+
 def random_expression(p: Presentation, rng: random.Random, depth: int = 4):
     """A random DSL expression over p and its expansion into words.
 

@@ -337,6 +337,20 @@ def test_fuel_flag_and_env(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
+def test_fuel_env_is_read_only_by_file_commands(tmp_path, capsys, monkeypatch):
+    # qdet takes no budget, so a bad value does not stop it; verify still rejects it
+    monkeypatch.setenv("STRATA_LAB_FUEL", "abc")
+    code, out = invoke(capsys, "qdet", "--n", "2")
+    assert code == 0
+    assert report_of(out)["status"] == "ok"
+    path = write(tmp_path, "use quantum_affine(n=2)\n")
+    assert run(["verify", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("strata-lab: bad STRATA_LAB_FUEL value: "
+                            "invalid literal for int() with base 10: 'abc'\n")
+
+
 def test_expression_has_one_budget(tmp_path, capsys):
     # each X22*X11 takes one rewrite; the sum of two needs two from one budget
     path = write(tmp_path, "use quantum_matrices(m=2, n=2)\n")

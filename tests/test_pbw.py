@@ -1,4 +1,5 @@
 import random
+import zlib
 
 import pytest
 
@@ -296,3 +297,78 @@ def test_hilbert_count_needs_no_rewriting(monkeypatch):
         assert hilbert_count(m3, d) == oracles.commutative_count(9, d)
     assert hilbert_count(zoo.quantum_affine_generic(0), 0) == 1
     assert hilbert_count(zoo.quantum_affine_generic(0), 2) == 0
+
+
+ZOO_FAMILIES = {
+    "quantum_affine_generic(3)": lambda: zoo.quantum_affine_generic(3),
+    "quantum_affine_single(3)": lambda: zoo.quantum_affine_single(3),
+    "quantum_torus_generic(3)": lambda: zoo.quantum_torus_generic(3),
+    "quantum_torus_single(3)": lambda: zoo.quantum_torus_single(3),
+    "quantum_matrices_generic(3, 3)": lambda: zoo.quantum_matrices_generic(3, 3),
+    "quantum_matrices_single(2, 3)": lambda: zoo.quantum_matrices_single(2, 3),
+    "quantized_weyl_generic(2)": lambda: zoo.quantized_weyl_generic(2),
+    "quantum_symplectic(2)": lambda: zoo.quantum_symplectic(2),
+    "quantum_euclidean(4)": lambda: zoo.quantum_euclidean(4),
+}
+
+
+@pytest.mark.parametrize("family", sorted(ZOO_FAMILIES))
+def test_fuel_boundary_is_the_leftmost_rewrite_count(family):
+    # the engine applies exactly the rules of a plain leftmost-first
+    # reduction: its budget suffices at that count and not one below it
+    p = ZOO_FAMILIES[family]()
+    seed = zlib.crc32(family.encode())
+    print(f"seed {seed}")
+    rng = random.Random(seed)
+    for _ in range(30):
+        letters = []
+        for _ in range(rng.randint(2, 10)):
+            i = rng.randrange(p.ngens)
+            letters.append((i, -1 if p.invertible[i] and rng.random() < 0.4 else 1))
+        count = oracles.leftmost_rewrites(p, letters)
+        want = oracles.reduce_rightmost(p, letters, Coefficient.one(p.context))
+        assert normal_form(p, letters, fuel=max(count, 1)) == want, letters
+        if count > 1:
+            with pytest.raises(FuelExhausted):
+                normal_form(p, letters, fuel=count - 1)
+
+
+@pytest.mark.parametrize("n, power, terms", [(2, 3, 22), (3, 2, 55)])
+def test_long_tailed_words_match_the_rightmost_reducer(n, power, terms):
+    # Weyl generators reversed, each raised to a power: tens of thousands of
+    # tail branches
+    p = zoo.quantized_weyl_generic(n)
+    letters = [(i, 1) for i in reversed(range(p.ngens)) for _ in range(power)]
+    got = normal_form(p, [(i, power) for i in reversed(range(p.ngens))])
+    assert got == oracles.reduce_rightmost(p, letters, Coefficient.one(p.context))
+    assert len(got) == terms
+
+
+def test_tail_free_runs_cost_one_rewrite_each():
+    # x2^k x1 = q^-k x1 x2^k takes k swaps; the engine does them in place,
+    # so a long word costs time linear in k
+    plane = zoo.quantum_affine_single(2)
+    k = 20000
+    q = Coefficient.symbol(plane.context, "q")
+    word = [("x2", k), ("x1", 1)]
+    assert normal_form(plane, word, fuel=k) == monomial(plane, (1, k), q ** -k)
+    with pytest.raises(FuelExhausted):
+        normal_form(plane, word, fuel=k - 1)
+
+
+def test_swap_signs_survive_every_swap():
+    # the zoo's swap units are all positive; flip them: x_j x_i = -q x_i x_j
+    from strata_lab.coeff import UnitMonomial
+    t = zoo.quantum_torus_generic(3)
+    rules = {pair: Rule(UnitMonomial(-r.swap.sign, r.swap.exponents))
+             for pair, r in t.rules.items()}
+    skew = Presentation(t.context, t.generators, rules, t.weights, invertible=True,
+                        name="skew")
+    q = Coefficient.symbol(skew.context, "q_1_2")
+    got = normal_form(skew, [("x2", 3), ("x1", 1)])
+    assert got == monomial(skew, (1, 3, 0), -(q ** -3))
+    rng = random.Random(71)
+    unit = Coefficient.one(skew.context)
+    for _ in range(40):
+        letters = [(rng.randrange(3), rng.choice((1, -1))) for _ in range(rng.randint(2, 8))]
+        assert normal_form(skew, letters) == oracles.reduce_rightmost(skew, letters, unit), letters
