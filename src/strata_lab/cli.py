@@ -318,6 +318,13 @@ def _nonnegative(text: str) -> int:
     return value
 
 
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="strata-lab",
@@ -341,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--degree", type=_nonnegative, default=4)
     for name in ("qdet", "qdet-verify", "sl-check"):
         cmd = sub.add_parser(name, help=f"{name} for n x n quantum matrices")
-        cmd.add_argument("--n", type=int, required=True)
+        cmd.add_argument("--n", type=_positive, required=True)
         cmd.add_argument("--single-param", action="store_true")
         if name == "qdet":
             cmd.add_argument("--specialize")

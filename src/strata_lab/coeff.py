@@ -227,7 +227,8 @@ class Coefficient:
         return res
 
     def scale_unit(self, unit: UnitMonomial, power: int = 1) -> "Coefficient":
-        """Multiply by unit**power; fast path used by the rewriting engine."""
+        """Multiply by unit**power without the general product; the reference
+        oracles use it, the rewriting engine does not."""
         if power == 0:
             return self
         shift = tuple(e * power for e in unit.exponents)

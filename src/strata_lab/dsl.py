@@ -289,73 +289,51 @@ def parse(source: str) -> Presentation:
 
 
 def _parse_zoo_call(stream: _Stream) -> Presentation:
+    """``use family(key=value, ...)``, checked against zoo.FAMILIES: each size
+    keyword is an integer literal, and single_param is true or false on a
+    family that has a single-parameter variant."""
     stream.expect("NAME", "use")
     fam = stream.expect("NAME")
+    if fam.value not in zoo.FAMILIES:
+        raise DslError(f"unknown algebra family {fam.value!r}", fam.line, fam.col)
+    sizes, generic, single = zoo.FAMILIES[fam.value]
     stream.expect("OP", "(")
     kwargs: dict[str, object] = {}
-    if not (stream.peek().kind == "OP" and stream.peek().value == ")"):
-        while True:
-            key = stream.expect("NAME")
-            stream.expect("OP", "=")
-            v = stream.peek()
-            if v.kind == "INT":
-                stream.next()
-                kwargs[key.value] = int(v.value)
-            elif v.kind == "NAME" and v.value in ("true", "false"):
-                stream.next()
-                kwargs[key.value] = v.value == "true"
-            elif v.kind == "NAME":
-                stream.next()
-                kwargs[key.value] = v.value
-            else:
-                raise DslError(f"bad value for {key.value!r}", v.line, v.col)
-            t = stream.peek()
-            if t.kind == "OP" and t.value == ",":
-                stream.next()
-                continue
-            break
+    while not (stream.peek().kind == "OP" and stream.peek().value == ")"):
+        if kwargs:
+            stream.expect("OP", ",")
+        key = stream.expect("NAME")
+        stream.expect("OP", "=")
+        v = stream.next()
+        if key.value in kwargs:
+            raise DslError(f"repeated parameter {key.value!r}", key.line, key.col)
+        if key.value in sizes:
+            if v.kind != "INT":
+                raise DslError(f"{key.value} must be an integer literal, found {v.value!r}",
+                               v.line, v.col)
+            kwargs[key.value] = int(v.value)
+        elif key.value == "single_param":
+            if single is None:
+                raise DslError(f"{fam.value} has no single-parameter variant",
+                               key.line, key.col)
+            if v.kind != "NAME" or v.value not in ("true", "false"):
+                raise DslError(f"single_param must be true or false, found {v.value!r}",
+                               v.line, v.col)
+            kwargs[key.value] = v.value == "true"
+        else:
+            raise DslError(f"unknown parameter {key.value!r} for {fam.value}",
+                           key.line, key.col)
     stream.expect("OP", ")")
     stream.skip_newlines()
     stream.expect("EOF")
-    return _build_zoo(fam, kwargs)
-
-
-def _build_zoo(fam: Token, kwargs: dict) -> Presentation:
-    family = fam.value
-    single = bool(kwargs.pop("single_param", False))
-
-    def need(key: str) -> int:
-        if key not in kwargs:
-            raise DslError(f"{family} needs {key}=<int>", fam.line, fam.col)
-        v = kwargs.pop(key)
-        if not isinstance(v, int):
-            raise DslError(f"{key} must be an integer", fam.line, fam.col)
-        return v
-
+    for size in sizes:
+        if size not in kwargs:
+            raise DslError(f"{fam.value} needs {size}=<int>", fam.line, fam.col)
+    build = single if kwargs.pop("single_param", False) else generic
     try:
-        if family == "quantum_affine":
-            n = need("n")
-            p = zoo.quantum_affine_single(n) if single else zoo.quantum_affine_generic(n)
-        elif family == "quantum_torus":
-            n = need("n")
-            p = zoo.quantum_torus_single(n) if single else zoo.quantum_torus_generic(n)
-        elif family == "quantum_matrices":
-            m, n = need("m"), need("n")
-            p = (zoo.quantum_matrices_single(m, n) if single
-                 else zoo.quantum_matrices_generic(m, n))
-        elif family == "quantized_weyl":
-            p = zoo.quantized_weyl_generic(need("n"))
-        elif family == "quantum_symplectic":
-            p = zoo.quantum_symplectic(need("n"))
-        elif family == "quantum_euclidean":
-            p = zoo.quantum_euclidean(need("n"))
-        else:
-            raise DslError(f"unknown algebra family {family!r}", fam.line, fam.col)
+        return build(**kwargs)
     except zoo.ZooError as exc:
         raise DslError(str(exc), fam.line, fam.col) from exc
-    if kwargs:
-        raise DslError(f"unknown parameters {sorted(kwargs)}", fam.line, fam.col)
-    return p
 
 
 def _parse_presentation(stream: _Stream) -> Presentation:

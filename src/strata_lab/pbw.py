@@ -27,6 +27,7 @@ evaluation order.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass, field
 from math import comb
@@ -223,8 +224,11 @@ class Presentation:
             raise PresentationError(f"unknown generator {name!r}") from None
 
     def with_fuel(self, fuel: int) -> "Presentation":
-        return Presentation(self.context, self.generators, self.rules, self.weights,
-                            self.invertible, self.rank, self.name, fuel)
+        """A copy with another budget; it shares the already validated fields."""
+        Fuel(fuel)  # rejects a non-positive budget
+        twin = copy.copy(self)
+        twin.fuel = fuel
+        return twin
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Presentation):

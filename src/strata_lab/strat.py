@@ -271,9 +271,8 @@ def stratum_report(p: Presentation, w: HPrime) -> StratumReport:
     if not graded_simplicity_shadow(torus):
         raise AssertionError("stratum torus has a degenerate grading")
     size = torus.ngens
-    product = monomial(torus, (0,) * size)
-    for i in range(size):
-        product = multiply(torus, product, gen(torus, i))
+    # The distinct generators in ascending order already form an ordered monomial.
+    product = monomial(torus, (1,) * size)
     mat = commutation_exponent_matrix(torus)
     basis = lattice.kernel_basis(mat) if mat else \
         [tuple(1 if j == i else 0 for j in range(size)) for i in range(size)]

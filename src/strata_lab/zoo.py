@@ -9,7 +9,6 @@ Musson relation sets, whose coefficients stay inside the Laurent subring.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 from .coeff import Coefficient, ParamContext
 from .pbw import Element, Presentation, Rule
@@ -100,56 +99,19 @@ class AntisymmetricMatrixSpec:
             rows[j - 1][i - 1] = c.invert_unit()
         return AntisymmetricMatrixSpec(context, rows)
 
-
-@dataclass(frozen=True)
-class SingleParamSpec:
-    """One symbol plus an antisymmetric integer exponent matrix."""
-
-    symbol: str
-    exponents: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        s = self.exponents
-        n = len(s)
-        if any(len(row) != n for row in s):
-            raise BadMatrix("exponent matrix must be square")
-        for i in range(n):
-            if s[i][i] != 0:
-                raise BadMatrix("diagonal exponents must be 0")
-            for j in range(n):
-                if s[j][i] != -s[i][j]:
-                    raise BadMatrix("exponent matrix must be antisymmetric")
-
-    @property
-    def n(self) -> int:
-        return len(self.exponents)
-
     @staticmethod
-    def standard(n: int, symbol: str = "q", upper_exponent: int = 1) -> "SingleParamSpec":
-        rows = tuple(tuple(upper_exponent if i < j else (-upper_exponent if i > j else 0)
-                           for j in range(n)) for i in range(n))
-        return SingleParamSpec(symbol, rows)
-
-    def to_matrix(self, context: ParamContext | None = None) -> AntisymmetricMatrixSpec:
-        ctx = context if context is not None else ParamContext([self.symbol])
-        rows = [[Coefficient.symbol(ctx, self.symbol, e) if e else Coefficient.one(ctx)
-                 for e in row] for row in self.exponents]
-        return AntisymmetricMatrixSpec(ctx, rows)
-
-
-def _coerce_spec(spec) -> AntisymmetricMatrixSpec:
-    if isinstance(spec, SingleParamSpec):
-        return spec.to_matrix()
-    if isinstance(spec, AntisymmetricMatrixSpec):
-        return spec
-    raise BadMatrix(f"expected a matrix spec, got {type(spec).__name__}")
+    def single(n: int, upper_exponent: int = 1) -> "AntisymmetricMatrixSpec":
+        """One symbol q: entry (i, j) is q^upper_exponent above the diagonal."""
+        ctx = ParamContext(["q"])
+        upper = Coefficient.symbol(ctx, "q", upper_exponent)
+        return AntisymmetricMatrixSpec.from_upper(
+            ctx, n, {(i, j): upper for i in range(1, n + 1) for j in range(i + 1, n + 1)})
 
 
 # -- quantum affine spaces and tori ------------------------------------------
 
 
-def _affine_like(spec, invertible: bool, name: str) -> Presentation:
-    spec = _coerce_spec(spec)
+def _affine_like(spec: AntisymmetricMatrixSpec, invertible: bool, name: str) -> Presentation:
     n = spec.n
     rules = {}
     for j in range(n):
@@ -161,32 +123,30 @@ def _affine_like(spec, invertible: bool, name: str) -> Presentation:
                         rank=n, name=name)
 
 
-def quantum_affine(spec) -> Presentation:
+def quantum_affine(spec: AntisymmetricMatrixSpec) -> Presentation:
     """Polynomial generators x_i with x_i x_j = q_ij x_j x_i."""
-    spec = _coerce_spec(spec)
     return _affine_like(spec, False, f"quantum_affine_{spec.n}")
 
 
-def quantum_torus(spec) -> Presentation:
+def quantum_torus(spec: AntisymmetricMatrixSpec) -> Presentation:
     """Same commutation data as quantum_affine but all generators invertible."""
-    spec = _coerce_spec(spec)
     return _affine_like(spec, True, f"quantum_torus_{spec.n}")
 
 
-def quantum_affine_generic(n: int, prefix: str = "q") -> Presentation:
-    return quantum_affine(AntisymmetricMatrixSpec.generic(n, prefix))
+def quantum_affine_generic(n: int) -> Presentation:
+    return quantum_affine(AntisymmetricMatrixSpec.generic(n))
 
 
-def quantum_affine_single(n: int, symbol: str = "q") -> Presentation:
-    return quantum_affine(SingleParamSpec.standard(n, symbol))
+def quantum_affine_single(n: int) -> Presentation:
+    return quantum_affine(AntisymmetricMatrixSpec.single(n))
 
 
-def quantum_torus_generic(n: int, prefix: str = "q") -> Presentation:
-    return quantum_torus(AntisymmetricMatrixSpec.generic(n, prefix))
+def quantum_torus_generic(n: int) -> Presentation:
+    return quantum_torus(AntisymmetricMatrixSpec.generic(n))
 
 
-def quantum_torus_single(n: int, symbol: str = "q") -> Presentation:
-    return quantum_torus(SingleParamSpec.standard(n, symbol))
+def quantum_torus_single(n: int) -> Presentation:
+    return quantum_torus(AntisymmetricMatrixSpec.single(n))
 
 
 # -- quantum matrices ----------------------------------------------------------
@@ -202,7 +162,6 @@ def quantum_matrices(m: int, n: int, lam: Coefficient,
     """
     if m < 1 or n < 1:
         raise BadMatrix("need at least one row and one column")
-    p = _coerce_spec(p)
     if p.n != max(m, n):
         raise BadMatrix(f"parameter matrix must have size max(m, n) = {max(m, n)}")
     ctx = p.context
@@ -255,10 +214,10 @@ def generic_matrix_data(n: int) -> tuple[Coefficient, AntisymmetricMatrixSpec]:
     return lam, p
 
 
-def single_param_matrix_data(n: int, symbol: str = "q"):
+def single_param_matrix_data(n: int) -> tuple[Coefficient, AntisymmetricMatrixSpec]:
     """Standard single-parameter data: below-diagonal entries q, lam = q^-2."""
-    spec = SingleParamSpec.standard(n, symbol, upper_exponent=-1).to_matrix()
-    lam = Coefficient.symbol(spec.context, symbol, -2)
+    spec = AntisymmetricMatrixSpec.single(n, upper_exponent=-1)
+    lam = Coefficient.symbol(spec.context, "q", -2)
     return lam, spec
 
 
@@ -267,21 +226,20 @@ def quantum_matrices_generic(m: int, n: int) -> Presentation:
     return quantum_matrices(m, n, lam, p)
 
 
-def quantum_matrices_single(m: int, n: int, symbol: str = "q") -> Presentation:
-    lam, p = single_param_matrix_data(max(m, n), symbol)
+def quantum_matrices_single(m: int, n: int) -> Presentation:
+    lam, p = single_param_matrix_data(max(m, n))
     return quantum_matrices(m, n, lam, p)
 
 
 # -- quantized Weyl algebras ---------------------------------------------------
 
 
-def quantized_weyl(q_params, gamma) -> Presentation:
+def quantized_weyl(q_params, gamma: AntisymmetricMatrixSpec) -> Presentation:
     """Degree-n quantized Weyl algebra, generator order y1 < x1 < ... < yn < xn.
 
     q_params is the list of unit coefficients q_1..q_n and gamma the
     antisymmetric matrix of the y-y commutation scalars.
     """
-    gamma = _coerce_spec(gamma)
     n = gamma.n
     ctx = gamma.context
     qs = list(q_params)
@@ -438,3 +396,19 @@ def quantum_euclidean(n: int) -> Presentation:
     gens = [f"x{g}" for g in range(1, n + 1)]
     return Presentation(ctx, gens, rules, weights, rank=m,
                         name=f"quantum_euclidean_{n}")
+
+
+# -- the family table --------------------------------------------------------
+
+
+# Family name -> (size keywords, generic constructor, single-parameter
+# constructor or None).  Each constructor takes the size keywords as its
+# parameters; `use family(...)` in the DSL is checked against this table.
+FAMILIES = {
+    "quantum_affine": (("n",), quantum_affine_generic, quantum_affine_single),
+    "quantum_torus": (("n",), quantum_torus_generic, quantum_torus_single),
+    "quantum_matrices": (("m", "n"), quantum_matrices_generic, quantum_matrices_single),
+    "quantized_weyl": (("n",), quantized_weyl_generic, None),
+    "quantum_symplectic": (("n",), quantum_symplectic, None),
+    "quantum_euclidean": (("n",), quantum_euclidean, None),
+}

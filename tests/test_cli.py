@@ -55,6 +55,52 @@ def test_parse_zoo_call():
     assert p.context.symbols == ("q_1_2",)
 
 
+@pytest.mark.parametrize("source,message", [
+    ("use quantum_sphere(n=2)", "line 1, col 5: unknown algebra family 'quantum_sphere'"),
+    ("use quantum_matrices(m=2)", "line 1, col 5: quantum_matrices needs n=<int>"),
+    ("use quantum_affine()", "line 1, col 5: quantum_affine needs n=<int>"),
+    ("use quantum_affine(n=2, k=3)", "line 1, col 25: unknown parameter 'k' for quantum_affine"),
+    ("use quantum_affine(n=2, n=3)", "line 1, col 25: repeated parameter 'n'"),
+    ("use quantum_affine(n=true)", "line 1, col 22: n must be an integer literal, found 'true'"),
+    ("use quantum_affine(n=two)", "line 1, col 22: n must be an integer literal, found 'two'"),
+    ("use quantum_affine(n=2, single_param=no)",
+     "line 1, col 38: single_param must be true or false, found 'no'"),
+    ("use quantum_torus(n=2, single_param=1)",
+     "line 1, col 37: single_param must be true or false, found '1'"),
+    ("use quantized_weyl(n=1, single_param=true)",
+     "line 1, col 25: quantized_weyl has no single-parameter variant"),
+    ("use quantum_symplectic(n=1, single_param=true)",
+     "line 1, col 29: quantum_symplectic has no single-parameter variant"),
+    ("use quantum_euclidean(n=2, single_param=true)",
+     "line 1, col 28: quantum_euclidean has no single-parameter variant"),
+])
+def test_rejected_zoo_calls(tmp_path, capsys, source, message):
+    code, out = invoke(capsys, "verify", write(tmp_path, source + "\n"))
+    assert code == 2
+    rep = report_of(out)
+    assert rep["status"] == "error"
+    assert rep["results"]["message"] == message
+
+
+@pytest.mark.parametrize("sources,build", [
+    (["use quantum_affine(n=3)", "use quantum_affine(n=3, single_param=false)"],
+     lambda: zoo.quantum_affine_generic(3)),
+    (["use quantum_affine(single_param=true, n=3)"], lambda: zoo.quantum_affine_single(3)),
+    (["use quantum_torus(n=2, single_param=false)"], lambda: zoo.quantum_torus_generic(2)),
+    (["use quantum_torus(n=2, single_param=true)"], lambda: zoo.quantum_torus_single(2)),
+    (["use quantum_matrices(m=2, n=3)", "use quantum_matrices(n=3, m=2, single_param=false)"],
+     lambda: zoo.quantum_matrices_generic(2, 3)),
+    (["use quantum_matrices(m=2, n=3, single_param=true)"],
+     lambda: zoo.quantum_matrices_single(2, 3)),
+    (["use quantized_weyl(n=2)"], lambda: zoo.quantized_weyl_generic(2)),
+    (["use quantum_symplectic(n=2)"], lambda: zoo.quantum_symplectic(2)),
+    (["use quantum_euclidean( n = 3 )  # odd"], lambda: zoo.quantum_euclidean(3)),
+])
+def test_accepted_zoo_calls_match_the_constructors(sources, build):
+    for source in sources:
+        assert parse(source + "\n") == build()
+
+
 def test_parse_explicit_file():
     p = parse(PLANE_FILE)
     assert p.generators == ("x1", "x2")
@@ -249,6 +295,15 @@ def test_qdet_and_sl_commands(capsys):
     assert rep["results"]["central"] is True and rep["results"]["common_value"] == "q^-3"
     code, out = invoke(capsys, "sl-check", "--n", "2")
     assert report_of(out)["results"]["central"] is False
+
+
+@pytest.mark.parametrize("command", ["qdet", "qdet-verify", "sl-check"])
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_matrix_size_below_one_is_a_usage_error(capsys, command, n):
+    assert run([command, "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--n: must be positive" in captured.err
 
 
 def test_weights_and_eigencheck(tmp_path, capsys):

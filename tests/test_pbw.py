@@ -198,6 +198,13 @@ def test_fuel_exhaustion():
         normal_form(m2, [("X22", 1), ("X11", 1), ("X21", 1)])
 
 
+def test_with_fuel_copies_without_rebuilding(m2):
+    budgeted = m2.with_fuel(7)
+    assert budgeted == m2
+    assert budgeted.fuel == 7 and m2.fuel != 7
+    assert budgeted._moves is m2._moves
+
+
 @pytest.mark.parametrize("fuel", [0, -1])
 def test_nonpositive_fuel_is_rejected(plane, m2, fuel):
     x = gen(m2, "X11")

@@ -7,8 +7,7 @@ from strata_lab.coeff import Coefficient, ParamContext
 from strata_lab.grading import weight_of
 from strata_lab.pbw import (Element, diamond_check, gen, monomial, multiply,
                             normal_form, one)
-from strata_lab.zoo import (AntisymmetricMatrixSpec, BadMatrix,
-                            DegenerateLambda, SingleParamSpec)
+from strata_lab.zoo import AntisymmetricMatrixSpec, BadMatrix, DegenerateLambda
 
 
 def all_suite_presentations():
@@ -47,11 +46,6 @@ def test_affine_generic_plane_symbols():
     assert p.context.symbols == ("q_1_2",)
     assert p.generators == ("x1", "x2")
     assert [tuple(w) for w in p.weights] == [(1, 0), (0, 1)]
-
-
-def test_single_param_spec_antisymmetry_enforced():
-    with pytest.raises(BadMatrix):
-        SingleParamSpec("q", ((0, 1), (1, 0)))
 
 
 def test_matrix_n1_is_polynomial_ring():
