@@ -7,16 +7,19 @@ failed identity, exhausted rewrite budget), 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 from . import dsl, qdet, strat, zoo
 from .coeff import CoeffError, SpecializationError
 from .grading import is_homogeneous, scalar_normality_check, weight_of
+from .lattice import in_row_span
 from .pbw import (DEFAULT_FUEL, EngineError, FuelExhausted, NegativeExponent,
                   Presentation, PresentationError, diamond_check,
                   hilbert_count, order_key)
@@ -75,7 +78,7 @@ def _parse_specialize(arg: str | None) -> dict[str, Fraction] | None:
     return out
 
 
-def _term_list(p: Presentation, element, specialize=None) -> list[dict]:
+def _term_list(element, specialize=None) -> list[dict]:
     terms = []
     for exp in sorted(element.terms, key=order_key, reverse=True):
         entry = {"monomial": list(exp), "coeff": str(element.terms[exp])}
@@ -149,7 +152,7 @@ def _cmd_nf(args, source):
     element = dsl.evaluate_expression(p, args.expr)
     spec = _parse_specialize(args.specialize)
     return {"algebra": p.name, "expr": args.expr,
-            "terms": _term_list(p, element, spec), "zero": not element}
+            "terms": _term_list(element, spec), "zero": not element}
 
 
 def _cmd_hilbert(args, source):
@@ -175,11 +178,10 @@ def _matrix_data(args):
 
 def _cmd_qdet(args, source):
     lam, p = _matrix_data(args)
-    pres = zoo.quantum_matrices(args.n, args.n, lam, p)
     det = qdet.quantum_determinant(args.n, lam, p)
     spec = _parse_specialize(args.specialize)
     return {"n": args.n, "single_param": args.single_param,
-            "terms": _term_list(pres, det, spec)}
+            "terms": _term_list(det, spec)}
 
 
 def _cmd_qdet_verify(args, source):
@@ -246,12 +248,9 @@ def _cmd_strata(args, source):
         report = strat.stratum_report(p, w)
         record = _stratum_record(report)
         if args.box:
-            from itertools import product as iproduct
-
-            from .lattice import in_row_span
             brute = strat.brute_force_central_monomials(report.torus, args.box)
-            span = [v for v in iproduct(range(-args.box, args.box + 1),
-                                        repeat=report.torus_size)
+            span = [v for v in product(range(-args.box, args.box + 1),
+                                       repeat=report.torus_size)
                     if in_row_span(report.center_basis, v)]
             record["box_check"] = span == brute
             ok = ok and record["box_check"]
@@ -325,7 +324,10 @@ def _positive(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later
+    `run` in the process; `parse_args` returns a fresh Namespace each time."""
     parser = argparse.ArgumentParser(
         prog="strata-lab",
         description="Exact rewriting, determinant laws, and stratification reports "

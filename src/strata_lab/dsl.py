@@ -26,6 +26,12 @@ from .pbw import (Element, Fuel, NegativeExponent, Presentation, PresentationErr
                   Rule, format_element, product)
 
 
+# Largest product of the size literals of a `use` line.  The generic families
+# get one symbol per generator pair, so parse time grows about as the fifth
+# power of the size; at 32 the largest family parses in a fraction of a second.
+MAX_ZOO_SIZE = 32
+
+
 class DslError(Exception):
     """Parse or semantic error with source location."""
 
@@ -290,8 +296,9 @@ def parse(source: str) -> Presentation:
 
 def _parse_zoo_call(stream: _Stream) -> Presentation:
     """``use family(key=value, ...)``, checked against zoo.FAMILIES: each size
-    keyword is an integer literal, and single_param is true or false on a
-    family that has a single-parameter variant."""
+    keyword is an integer literal, the sizes multiply to at most MAX_ZOO_SIZE,
+    and single_param is true or false on a family that has a single-parameter
+    variant."""
     stream.expect("NAME", "use")
     fam = stream.expect("NAME")
     if fam.value not in zoo.FAMILIES:
@@ -299,6 +306,7 @@ def _parse_zoo_call(stream: _Stream) -> Presentation:
     sizes, generic, single = zoo.FAMILIES[fam.value]
     stream.expect("OP", "(")
     kwargs: dict[str, object] = {}
+    volume = 1
     while not (stream.peek().kind == "OP" and stream.peek().value == ")"):
         if kwargs:
             stream.expect("OP", ",")
@@ -311,7 +319,11 @@ def _parse_zoo_call(stream: _Stream) -> Presentation:
             if v.kind != "INT":
                 raise DslError(f"{key.value} must be an integer literal, found {v.value!r}",
                                v.line, v.col)
-            kwargs[key.value] = int(v.value)
+            kwargs[key.value] = size = int(v.value)
+            volume *= max(size, 1)  # a zero size must not hide a large one
+            if volume > MAX_ZOO_SIZE:
+                raise DslError(f"{fam.value} sizes multiply to {volume}, "
+                               f"above the limit {MAX_ZOO_SIZE}", v.line, v.col)
         elif key.value == "single_param":
             if single is None:
                 raise DslError(f"{fam.value} has no single-parameter variant",

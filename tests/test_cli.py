@@ -1,11 +1,16 @@
+import argparse
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import pytest
 
-from strata_lab import zoo
+from strata_lab import cli, zoo
 from strata_lab.cli import run
 from strata_lab.coeff import Coefficient
 from strata_lab.dsl import DslError, evaluate_expression, parse, print_presentation
@@ -73,6 +78,12 @@ def test_parse_zoo_call():
      "line 1, col 29: quantum_symplectic has no single-parameter variant"),
     ("use quantum_euclidean(n=2, single_param=true)",
      "line 1, col 28: quantum_euclidean has no single-parameter variant"),
+    ("use quantum_affine(n=33)",
+     "line 1, col 22: quantum_affine sizes multiply to 33, above the limit 32"),
+    ("use quantum_matrices(m=8, n=5)",
+     "line 1, col 29: quantum_matrices sizes multiply to 40, above the limit 32"),
+    ("use quantum_matrices(m=0, n=1000)",
+     "line 1, col 29: quantum_matrices sizes multiply to 1000, above the limit 32"),
 ])
 def test_rejected_zoo_calls(tmp_path, capsys, source, message):
     code, out = invoke(capsys, "verify", write(tmp_path, source + "\n"))
@@ -95,6 +106,7 @@ def test_rejected_zoo_calls(tmp_path, capsys, source, message):
     (["use quantized_weyl(n=2)"], lambda: zoo.quantized_weyl_generic(2)),
     (["use quantum_symplectic(n=2)"], lambda: zoo.quantum_symplectic(2)),
     (["use quantum_euclidean( n = 3 )  # odd"], lambda: zoo.quantum_euclidean(3)),
+    (["use quantum_matrices(m=4, n=8)"], lambda: zoo.quantum_matrices_generic(4, 8)),
 ])
 def test_accepted_zoo_calls_match_the_constructors(sources, build):
     for source in sources:
@@ -504,3 +516,69 @@ def test_negative_sizes_are_usage_errors(tmp_path, capsys, argv):
     code, out = invoke(capsys, argv[0], path, *argv[1:])
     assert code == 2
     assert out == ""
+
+
+# -- one parser per process ------------------------------------------------------
+
+
+def fresh_process_env():
+    """The environment for a child `python` that imports this strata_lab."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_parser_is_not_built_at_import():
+    probe = "import strata_lab.cli as c; print(c._build_parser.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=fresh_process_env(), timeout=60)
+    assert (out.returncode, out.stdout) == (0, "0\n")
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    path = write(tmp_path, "use quantum_affine(n=2)\n")
+    for argv in (["verify", path], ["nf", path, "x2*x1"], ["qdet", "--n", "2"],
+                 ["hspec", path], ["nf", path]):
+        run(argv)
+    capsys.readouterr()
+    # the top-level parser and one per subcommand, all built by the first call
+    assert len(built) == 1 + len(cli._HANDLERS)
+
+
+def test_fuel_env_is_read_on_every_call(tmp_path, capsys, monkeypatch):
+    # each X22*X11 takes one rewrite, so the sum needs a budget of two
+    path = write(tmp_path, "use quantum_matrices(m=2, n=2)\n")
+    monkeypatch.setenv("STRATA_LAB_FUEL", "1")
+    code, out = invoke(capsys, "nf", path, "X22*X11 + X22*X11")
+    assert code == 1
+    assert report_of(out)["results"]["message"] == "rewrite budget exceeded"
+    monkeypatch.delenv("STRATA_LAB_FUEL")
+    code, out = invoke(capsys, "nf", path, "X22*X11 + X22*X11")
+    assert code == 0
+    assert report_of(out)["status"] == "ok"
+
+
+def test_shared_parser_gives_the_bytes_of_a_fresh_process(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help text to the terminal width
+    env = fresh_process_env()
+    path = write(tmp_path, "use quantum_affine(n=2)\n")
+    run(["verify", path])
+    capsys.readouterr()
+    codes = []
+    for argv in (["nf", path], ["--help"], ["nf", path, "x2*x1"]):
+        code = run(argv)
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "strata_lab.cli", *argv],
+                               capture_output=True, text=True, env=env, timeout=60)
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        codes.append(code)
+    assert codes == [2, 0, 0]

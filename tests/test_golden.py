@@ -113,6 +113,15 @@ GOLDEN = {
 }
 
 
+# argv -> (exit code, sha256 of stdout) for `qdet`, which reads no file;
+# recorded while the handler still built the matrix presentation it never read.
+QDET_GOLDEN = {
+    ('qdet', '--n', '2'): (0, "811387f79872ffe81b0dc04b951224fc338032033cd3f8b66c88938e5beb4ab8"),
+    ('qdet', '--n', '3', '--single-param'): (0, "f0db63ed87b2f659ef43ff57d6ca502e8d1e744ef75b6cf774a034c67af7668e"),
+    ('qdet', '--n', '2', '--specialize', 'lam=2,p_2_1=-3/2'): (0, "9f8b3bef23cf6b18849ab6dd839d8e12dc8272addb308dd63f25b7d53f45c27d"),
+}
+
+
 def _case_id(value):
     return " ".join(value) if isinstance(value, tuple) else value
 
@@ -124,3 +133,10 @@ def test_report_bytes_are_pinned(tmp_path, capsys, source, argv):
     code = run([argv[0], str(path), *argv[1:]])
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == GOLDEN[(source, argv)]
+
+
+@pytest.mark.parametrize("argv", sorted(QDET_GOLDEN), ids=_case_id)
+def test_qdet_report_bytes_are_pinned(capsys, argv):
+    code = run(list(argv))
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == QDET_GOLDEN[argv]
