@@ -15,34 +15,27 @@ import sys
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
+from typing import Callable, NamedTuple
 
-from . import dsl, qdet, strat, zoo
-from .coeff import CoeffError, SpecializationError
+from . import __version__, dsl, qdet, strat, zoo
+from .coeff import CoeffError, SpecializationError, number_text
 from .grading import is_homogeneous, scalar_normality_check, weight_of
 from .lattice import in_row_span
-from .pbw import (DEFAULT_FUEL, EngineError, FuelExhausted, NegativeExponent,
-                  Presentation, PresentationError, diamond_check,
-                  hilbert_count, order_key)
+from .pbw import (DEFAULT_FUEL, EngineError, NegativeExponent, PresentationError,
+                  diamond_check, hilbert_count, order_key)
 
-VERSION = "0.1.0"
+VERSION = __version__
 
-CITATIONS = {
-    "verify": ["confluence of the descending-pair rules certifies the ordered-monomial basis"],
-    "nf": ["normal forms in the ordered-monomial basis"],
-    "hilbert": ["graded dimension matches the commutative polynomial count"],
-    "qdet": ["signed permutation-sum quantum determinant"],
-    "qdet-verify": ["quantum determinant normality law"],
-    "sl-check": ["quantum determinant centrality criterion"],
-    "weights": ["torus weights realize the grading"],
-    "eigencheck": ["homogeneous elements are the torus eigenvectors"],
-    "normalcheck": ["scalar normality certificates for torus eigenvectors"],
-    "hspec": ["finite poset of torus-stable primes of a quantum affine space"],
-    "strata": ["strata localize to quantum tori",
-               "stratum centers are Laurent polynomial rings of rank at most the torus rank"],
-    "center": ["stratum centers are Laurent polynomial rings of rank at most the torus rank"],
-    "witness": ["normal separation across comparable torus-stable primes"],
-    "poset": ["stratification topology of the finite stable-prime poset"],
-}
+
+class Command(NamedTuple):
+    """A subcommand.  A "file" command reads a presentation and takes --fuel,
+    and its handler gets the Presentation; a "matrix" command takes --n and
+    --single-param, and its handler gets the (lam, p) quantum matrix data."""
+
+    input: str
+    handler: Callable
+    help: str
+    citations: list[str]
 
 
 class CliFailure(Exception):
@@ -51,16 +44,6 @@ class CliFailure(Exception):
     def __init__(self, message: str, results=None):
         super().__init__(message)
         self.results = results or {}
-
-
-def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
-
-
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _parse_specialize(arg: str | None) -> dict[str, Fraction] | None:
@@ -83,7 +66,7 @@ def _term_list(element, specialize=None) -> list[dict]:
     for exp in sorted(element.terms, key=order_key, reverse=True):
         entry = {"monomial": list(exp), "coeff": str(element.terms[exp])}
         if specialize is not None:
-            entry["value"] = str(element.terms[exp].specialize(specialize))
+            entry["value"] = number_text(element.terms[exp].specialize(specialize))
         terms.append(entry)
     return terms
 
@@ -104,20 +87,17 @@ def _stratum_record(report: strat.StratumReport) -> dict:
         "center_rank": report.center_rank,
         "center_basis": [list(v) for v in report.center_basis],
         "torus_size": report.torus_size,
-        "citations": CITATIONS["strata"],
+        "citations": COMMANDS["strata"].citations,
     }
 
 
-def emit_dot(primes, ranks=None, name="hspec") -> str:
+def emit_dot(primes, ranks, name) -> str:
     """DOT digraph of the inclusion poset; edges are covering relations."""
     def node_id(w):
         return "n" + "_".join(str(i) for i in w.members) if w.members else "n0"
 
     def label(w):
-        body = "{" + ",".join(str(i) for i in w.members) + "}"
-        if ranks is not None:
-            body += f" rank {ranks[w]}"
-        return body
+        return "{" + ",".join(str(i) for i in w.members) + "} rank " + str(ranks[w])
 
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
     for w in primes:
@@ -131,12 +111,7 @@ def emit_dot(primes, ranks=None, name="hspec") -> str:
 # -- subcommand handlers -------------------------------------------------------
 
 
-def _load(args, source: str) -> Presentation:
-    return dsl.parse(source).with_fuel(args.fuel)
-
-
-def _cmd_verify(args, source):
-    p = _load(args, source)
+def _cmd_verify(args, p):
     reports = diamond_check(p)
     unresolved = [{"triple": [p.generators[t] for t in r.triple], "note": r.note}
                   for r in reports if not r.resolved]
@@ -147,16 +122,14 @@ def _cmd_verify(args, source):
     return results
 
 
-def _cmd_nf(args, source):
-    p = _load(args, source)
+def _cmd_nf(args, p):
     element = dsl.evaluate_expression(p, args.expr)
     spec = _parse_specialize(args.specialize)
     return {"algebra": p.name, "expr": args.expr,
             "terms": _term_list(element, spec), "zero": not element}
 
 
-def _cmd_hilbert(args, source):
-    p = _load(args, source)
+def _cmd_hilbert(args, p):
     counts = []
     for d in range(args.degree + 1):
         count = hilbert_count(p, d)  # the commutative count, C(n+d-1, d)
@@ -170,23 +143,15 @@ def _cmd_hilbert(args, source):
     return results
 
 
-def _matrix_data(args):
-    if args.single_param:
-        return zoo.single_param_matrix_data(args.n)
-    return zoo.generic_matrix_data(args.n)
-
-
-def _cmd_qdet(args, source):
-    lam, p = _matrix_data(args)
-    det = qdet.quantum_determinant(args.n, lam, p)
+def _cmd_qdet(args, matrix):
+    det = qdet.quantum_determinant(args.n, *matrix)
     spec = _parse_specialize(args.specialize)
     return {"n": args.n, "single_param": args.single_param,
             "terms": _term_list(det, spec)}
 
 
-def _cmd_qdet_verify(args, source):
-    lam, p = _matrix_data(args)
-    report = qdet.verify_det_normality(args.n, lam, p)
+def _cmd_qdet_verify(args, matrix):
+    report = qdet.verify_det_normality(args.n, *matrix)
     results = {"n": args.n, "single_param": args.single_param,
                "identities": [{"i": r.i, "j": r.j, "ok": r.ok} for r in report.identities],
                "passed": report.passed}
@@ -195,15 +160,13 @@ def _cmd_qdet_verify(args, source):
     return results
 
 
-def _cmd_sl_check(args, source):
-    lam, p = _matrix_data(args)
-    common = qdet.sl_common_value(args.n, lam, p)
+def _cmd_sl_check(args, matrix):
+    common = qdet.sl_common_value(args.n, *matrix)
     return {"n": args.n, "single_param": args.single_param, "central": common is not None,
             "common_value": str(common) if common is not None else None}
 
 
-def _cmd_weights(args, source):
-    p = _load(args, source)
+def _cmd_weights(args, p):
     element = dsl.evaluate_expression(p, args.expr)
     w = is_homogeneous(p, element)
     terms = [{"monomial": list(exp), "weight": list(weight_of(p, exp))}
@@ -213,8 +176,7 @@ def _cmd_weights(args, source):
             "weight": list(w) if w is not None else None}
 
 
-def _cmd_eigencheck(args, source):
-    p = _load(args, source)
+def _cmd_eigencheck(args, p):
     element = dsl.evaluate_expression(p, args.expr)
     w = is_homogeneous(p, element)
     return {"algebra": p.name, "expr": args.expr,
@@ -222,8 +184,7 @@ def _cmd_eigencheck(args, source):
             "weight": list(w) if w is not None else None}
 
 
-def _cmd_normalcheck(args, source):
-    p = _load(args, source)
+def _cmd_normalcheck(args, p):
     element = dsl.evaluate_expression(p, args.expr)
     cert = scalar_normality_check(p, element)
     results = {"algebra": p.name, "expr": args.expr, "scalar_normal": cert is not None}
@@ -232,15 +193,13 @@ def _cmd_normalcheck(args, source):
     return results
 
 
-def _cmd_hspec(args, source):
-    p = _load(args, source)
+def _cmd_hspec(args, p):
     primes = strat.hspec_quantum_affine(p)
     return {"algebra": p.name, "count": len(primes),
             "hprimes": [list(w.members) for w in primes]}
 
 
-def _cmd_strata(args, source):
-    p = _load(args, source)
+def _cmd_strata(args, p):
     primes = strat.hspec_quantum_affine(p)
     records = []
     ok = True
@@ -261,15 +220,13 @@ def _cmd_strata(args, source):
     return results
 
 
-def _cmd_center(args, source):
-    p = _load(args, source)
+def _cmd_center(args, p):
     w = _hprime_arg(args.hprime)
     report = strat.stratum_report(p, w)
     return {"algebra": p.name, **_stratum_record(report)}
 
 
-def _cmd_witness(args, source):
-    p = _load(args, source)
+def _cmd_witness(args, p):
     small = _hprime_arg(args.from_set)
     large = _hprime_arg(args.to_set)
     witness = strat.normal_separation_witness(p, small, large)
@@ -279,8 +236,7 @@ def _cmd_witness(args, source):
             "mus": {g: str(mu) for g, mu in zip(q.generators, witness.certificate.mus)}}
 
 
-def _cmd_poset(args, source):
-    p = _load(args, source)
+def _cmd_poset(args, p):
     primes = strat.hspec_quantum_affine(p)
     ranks = {w: strat.stratum_report(p, w).center_rank for w in primes}
     if args.dot:
@@ -292,22 +248,51 @@ def _cmd_poset(args, source):
             "edges": [[list(a.members), list(b.members)] for a, b in covers]}
 
 
-_HANDLERS = {
-    "verify": _cmd_verify,
-    "nf": _cmd_nf,
-    "hilbert": _cmd_hilbert,
-    "qdet": _cmd_qdet,
-    "qdet-verify": _cmd_qdet_verify,
-    "sl-check": _cmd_sl_check,
-    "weights": _cmd_weights,
-    "eigencheck": _cmd_eigencheck,
-    "normalcheck": _cmd_normalcheck,
-    "hspec": _cmd_hspec,
-    "strata": _cmd_strata,
-    "center": _cmd_center,
-    "witness": _cmd_witness,
-    "poset": _cmd_poset,
+_CENTERS = "stratum centers are Laurent polynomial rings of rank at most the torus rank"
+
+# Every subcommand, in the order `--help` lists them.
+COMMANDS = {
+    "verify": Command("file", _cmd_verify, "diamond-lemma confluence check",
+                      ["confluence of the descending-pair rules certifies the "
+                       "ordered-monomial basis"]),
+    "nf": Command("file", _cmd_nf, "normal form of an expression",
+                  ["normal forms in the ordered-monomial basis"]),
+    "hilbert": Command("file", _cmd_hilbert, "graded dimensions up to a degree",
+                       ["graded dimension matches the commutative polynomial count"]),
+    "qdet": Command("matrix", _cmd_qdet, "qdet for n x n quantum matrices",
+                    ["signed permutation-sum quantum determinant"]),
+    "qdet-verify": Command("matrix", _cmd_qdet_verify, "qdet-verify for n x n quantum matrices",
+                           ["quantum determinant normality law"]),
+    "sl-check": Command("matrix", _cmd_sl_check, "sl-check for n x n quantum matrices",
+                        ["quantum determinant centrality criterion"]),
+    "weights": Command("file", _cmd_weights, "weights of the terms of an expression",
+                       ["torus weights realize the grading"]),
+    "eigencheck": Command("file", _cmd_eigencheck, "homogeneity (eigenvector) check",
+                          ["homogeneous elements are the torus eigenvectors"]),
+    "normalcheck": Command("file", _cmd_normalcheck, "scalar normality certificate",
+                           ["scalar normality certificates for torus eigenvectors"]),
+    "hspec": Command("file", _cmd_hspec, "torus-stable prime poset of a quantum affine space",
+                     ["finite poset of torus-stable primes of a quantum affine space"]),
+    "strata": Command("file", _cmd_strata, "all stratum reports",
+                      ["strata localize to quantum tori", _CENTERS]),
+    "center": Command("file", _cmd_center, "one stratum report", [_CENTERS]),
+    "witness": Command("file", _cmd_witness, "normal separation witness",
+                       ["normal separation across comparable torus-stable primes"]),
+    "poset": Command("file", _cmd_poset, "stable-prime poset (JSON or DOT)",
+                     ["stratification topology of the finite stable-prime poset"]),
 }
+
+# Exception types and the status and exit code they report, first match
+# first: an unverified genericity is a failure although other strat errors
+# are usage errors, and the usage errors include subclasses of EngineError
+# and CoeffError, whose other kinds are failures.
+_OUTCOMES = (
+    ((CliFailure, strat.GenericityUnverified), "fail", 1),
+    ((dsl.DslError, zoo.ZooError, strat.StratError, SpecializationError,
+      PresentationError, NegativeExponent, OSError, UnicodeDecodeError), "error", 2),
+    ((EngineError, CoeffError), "fail", 1),
+)
+_REPORTED = tuple(t for types, _, _ in _OUTCOMES for t in types)
 
 
 def _nonnegative(text: str) -> int:
@@ -333,44 +318,29 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact rewriting, determinant laws, and stratification reports "
                     "for q-commutation algebras.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_file(name, **kw):
-        cmd = sub.add_parser(name, **kw)
-        cmd.add_argument("--fuel", type=int,
-                         help="rewrite-step budget per engine call "
-                              "(default: STRATA_LAB_FUEL, else 10^6)")
-        cmd.add_argument("file", help="presentation file, or - for stdin")
-        return cmd
-
-    add_file("verify", help="diamond-lemma confluence check")
-    cmd = add_file("nf", help="normal form of an expression")
-    cmd.add_argument("expr")
-    cmd.add_argument("--specialize", help="sym=rat,... exact rational evaluation")
-    cmd = add_file("hilbert", help="graded dimensions up to a degree")
-    cmd.add_argument("--degree", type=_nonnegative, default=4)
-    for name in ("qdet", "qdet-verify", "sl-check"):
-        cmd = sub.add_parser(name, help=f"{name} for n x n quantum matrices")
-        cmd.add_argument("--n", type=_positive, required=True)
-        cmd.add_argument("--single-param", action="store_true")
-        if name == "qdet":
-            cmd.add_argument("--specialize")
-    cmd = add_file("weights", help="weights of the terms of an expression")
-    cmd.add_argument("expr")
-    cmd = add_file("eigencheck", help="homogeneity (eigenvector) check")
-    cmd.add_argument("expr")
-    cmd = add_file("normalcheck", help="scalar normality certificate")
-    cmd.add_argument("expr")
-    add_file("hspec", help="torus-stable prime poset of a quantum affine space")
-    cmd = add_file("strata", help="all stratum reports")
-    cmd.add_argument("--box", type=_nonnegative, default=0,
-                     help="cross-check centers against the engine within this box")
-    cmd = add_file("center", help="one stratum report")
-    cmd.add_argument("--hprime", default="", help="comma-separated generator indices")
-    cmd = add_file("witness", help="normal separation witness")
-    cmd.add_argument("--from", dest="from_set", default="", required=False)
-    cmd.add_argument("--to", dest="to_set", required=True)
-    cmd = add_file("poset", help="stable-prime poset (JSON or DOT)")
-    cmd.add_argument("--dot", action="store_true")
+    cmds = {}
+    for name, command in COMMANDS.items():
+        cmd = cmds[name] = sub.add_parser(name, help=command.help)
+        if command.input == "file":
+            cmd.add_argument("--fuel", type=int,
+                             help="rewrite-step budget per engine call "
+                                  "(default: STRATA_LAB_FUEL, else 10^6)")
+            cmd.add_argument("file", help="presentation file, or - for stdin")
+        else:
+            cmd.add_argument("--n", type=_positive, required=True)
+            cmd.add_argument("--single-param", action="store_true")
+    for name in ("nf", "weights", "eigencheck", "normalcheck"):
+        cmds[name].add_argument("expr")
+    cmds["nf"].add_argument("--specialize", help="sym=rat,... exact rational evaluation")
+    cmds["qdet"].add_argument("--specialize")
+    cmds["hilbert"].add_argument("--degree", type=_nonnegative, default=4)
+    cmds["strata"].add_argument("--box", type=_nonnegative, default=0,
+                                help="cross-check centers against the engine within this box")
+    cmds["center"].add_argument("--hprime", default="",
+                                help="comma-separated generator indices")
+    cmds["witness"].add_argument("--from", dest="from_set", default="", required=False)
+    cmds["witness"].add_argument("--to", dest="to_set", required=True)
+    cmds["poset"].add_argument("--dot", action="store_true")
     return parser
 
 
@@ -378,10 +348,10 @@ def _envelope(command: str, source: str, status: str, results) -> str:
     report = {
         "command": command,
         "version": VERSION,
-        "inputs_digest": _digest(source),
+        "inputs_digest": hashlib.sha256(source.encode("utf-8")).hexdigest(),
         "status": status,
         "results": results,
-        "citations": CITATIONS.get(command, []),
+        "citations": COMMANDS[command].citations,
     }
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
@@ -392,42 +362,34 @@ def run(argv) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if hasattr(args, "file"):  # only the file commands take a rewrite budget
-        env_fuel = os.environ.get("STRATA_LAB_FUEL")
+    command = COMMANDS[args.command]
+    if command.input == "file":  # only the file commands take a rewrite budget
         try:
-            default_fuel = int(env_fuel) if env_fuel else DEFAULT_FUEL
+            default_fuel = int(os.environ.get("STRATA_LAB_FUEL") or DEFAULT_FUEL)
         except ValueError as exc:
             sys.stderr.write(f"strata-lab: bad STRATA_LAB_FUEL value: {exc}\n")
             return 2
         if args.fuel is None:
             args.fuel = default_fuel
-    handler = _HANDLERS[args.command]
     source = ""
     try:
-        source = (_read_source(args.file) if hasattr(args, "file")
-                  else f"{args.command} n={args.n} single_param={args.single_param}")
-        results = handler(args, source)
-    except CliFailure as exc:
-        sys.stdout.write(_envelope(args.command, source, "fail",
-                                   {**exc.results, "message": str(exc)}))
-        return 1
-    except FuelExhausted as exc:
-        sys.stdout.write(_envelope(args.command, source, "fail", {"message": str(exc)}))
-        return 1
-    except (dsl.DslError, zoo.ZooError, strat.StratError, SpecializationError,
-            PresentationError, NegativeExponent, OSError, UnicodeDecodeError) as exc:
-        if isinstance(exc, strat.GenericityUnverified):
-            sys.stdout.write(_envelope(args.command, source, "fail", {"message": str(exc)}))
-            return 1
-        sys.stdout.write(_envelope(args.command, source, "error", {"message": str(exc)}))
-        return 2
-    except (EngineError, CoeffError) as exc:
-        sys.stdout.write(_envelope(args.command, source, "fail", {"message": str(exc)}))
-        return 1
-    if args.command == "poset" and args.dot:
-        sys.stdout.write(results)
-        return 0
-    sys.stdout.write(_envelope(args.command, source, "ok", results))
+        if command.input == "file":
+            source = (sys.stdin.read() if args.file == "-"
+                      else Path(args.file).read_text(encoding="utf-8"))
+            data = dsl.parse(source).with_fuel(args.fuel)
+        else:
+            source = f"{args.command} n={args.n} single_param={args.single_param}"
+            data = (zoo.single_param_matrix_data if args.single_param
+                    else zoo.generic_matrix_data)(args.n)
+        results = command.handler(args, data)
+    except _REPORTED as exc:
+        status, code = next((status, code) for types, status, code in _OUTCOMES
+                            if isinstance(exc, types))
+        results = {**getattr(exc, "results", {}), "message": str(exc)}
+        sys.stdout.write(_envelope(args.command, source, status, results))
+        return code
+    sys.stdout.write(results if isinstance(results, str)  # DOT text goes out as it is
+                     else _envelope(args.command, source, "ok", results))
     return 0
 
 

@@ -12,6 +12,7 @@ across threads without coordination.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, neg
@@ -32,6 +33,19 @@ class NonUnitDivision(CoeffError):
 
 class SpecializationError(CoeffError):
     """Bad assignment passed to specialize()."""
+
+
+class TooManyDigits(CoeffError):
+    """An integer longer than the interpreter prints (sys.get_int_max_str_digits)."""
+
+
+def number_text(value: int | Fraction) -> str:
+    """str(value), or TooManyDigits when an integer in it is too long to print."""
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise TooManyDigits(f"coefficient has more than {sys.get_int_max_str_digits()} "
+                            "digits, the limit for printing an integer") from exc
 
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -313,11 +327,11 @@ class Coefficient:
             if e == 0:
                 continue
             factors.append(name if e == 1 else f"{name}^{e}")
-        mag = abs(c)
+        mag = number_text(abs(c))
         if not factors:
-            return str(mag)
+            return mag
         body = "*".join(factors)
-        return body if mag == 1 else f"{mag}*{body}"
+        return body if mag == "1" else f"{mag}*{body}"
 
     def __str__(self) -> str:
         if not self.terms:

@@ -18,6 +18,7 @@ with integer exponents, and parentheses.  '#' starts a comment.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from . import zoo
@@ -52,8 +53,14 @@ class Token:
 
 _OPS = set("*+-=^(),")
 
+# The most digits int() converts; 0, no limit, before Python 3.10.7.
+_max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
 
 def tokenize(text: str) -> list[Token]:
+    """Tokens of a source text; an integer literal is decimal digits, no more
+    of them than int() converts."""
+    max_digits = _max_digits()
     toks: list[Token] = []
     line = 1
     col = 1
@@ -75,10 +82,13 @@ def tokenize(text: str) -> list[Token]:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
+            if 0 < max_digits < j - i:
+                raise DslError(f"integer literal has {j - i} digits, above the limit "
+                               f"{max_digits}", line, col)
             toks.append(Token("INT", text[i:j], line, col))
             col += j - i
             i = j
@@ -439,10 +449,12 @@ def _parse_presentation(stream: _Stream) -> Presentation:
                                gtok.line, gtok.col)
             stream.expect("OP", "=")
             stream.expect("OP", "(")
-            vec = [stream.signed_int()]
-            while stream.peek().kind == "OP" and stream.peek().value == ",":
-                stream.next()
+            vec = []  # `()` is the weight in a torus of rank 0
+            if not (stream.peek().kind == "OP" and stream.peek().value == ")"):
                 vec.append(stream.signed_int())
+                while stream.peek().kind == "OP" and stream.peek().value == ",":
+                    stream.next()
+                    vec.append(stream.signed_int())
             stream.expect("OP", ")")
             if gen_index[gtok.value] in wmap:
                 raise DslError(f"duplicate weight for {gtok.value!r}", gtok.line, gtok.col)
@@ -481,7 +493,7 @@ def print_presentation(p: Presentation) -> str:
             rhs = Element({swap_exp: rule.swap.to_coefficient(p.context)}) + rule.tail
             lines.append(f"{p.generators[j]} * {p.generators[i]} = "
                          f"{format_element(p, rhs)}")
-    if p.rank:
+    if p.ngens:
         lines.append("weights")
         for g, w in zip(p.generators, p.weights):
             lines.append(f"{g} = ({', '.join(str(x) for x in w)})")

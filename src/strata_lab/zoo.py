@@ -160,8 +160,8 @@ def quantum_matrices(m: int, n: int, lam: Coefficient,
     occur for strictly-south-east pairs.  Weights live in Z^m x Z^n, with
     X_ij of weight e_i + f_j.
     """
-    if m < 1 or n < 1:
-        raise BadMatrix("need at least one row and one column")
+    if m < 0 or n < 0:
+        raise BadMatrix("need a nonnegative number of rows and columns")
     if p.n != max(m, n):
         raise BadMatrix(f"parameter matrix must have size max(m, n) = {max(m, n)}")
     ctx = p.context
@@ -305,8 +305,8 @@ def quantized_weyl_generic(n: int) -> Presentation:
 
 def quantum_symplectic(n: int) -> Presentation:
     """Quantum symplectic 2n-space (Musson relations), generators x1..x_{2n}."""
-    if n < 1:
-        raise ZooError("need n >= 1")
+    if n < 0:
+        raise ZooError("need n >= 0")
     ctx = ParamContext(["q"])
     q = Coefficient.symbol(ctx, "q")
     ngens = 2 * n
@@ -349,8 +349,8 @@ def quantum_euclidean(n: int) -> Presentation:
     Odd n needs a square root of q; the context then carries a symbol v with
     q = v^2 and all coefficients are written in v.
     """
-    if n < 2:
-        raise ZooError("need n >= 2")
+    if n < 0:
+        raise ZooError("need n >= 0")
     m = n // 2
     odd = n % 2 == 1
     if odd:

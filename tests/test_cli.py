@@ -113,6 +113,28 @@ def test_accepted_zoo_calls_match_the_constructors(sources, build):
         assert parse(source + "\n") == build()
 
 
+@pytest.mark.parametrize("source,generators", [
+    ("use quantum_affine(n=0)", 0),
+    ("use quantum_affine(n=0, single_param=true)", 0),
+    ("use quantum_torus(n=0)", 0),
+    ("use quantum_torus(n=0, single_param=true)", 0),
+    ("use quantum_matrices(m=0, n=0)", 0),
+    ("use quantum_matrices(m=0, n=3)", 0),
+    ("use quantum_matrices(m=2, n=0, single_param=true)", 0),
+    ("use quantized_weyl(n=0)", 0),
+    ("use quantum_symplectic(n=0)", 0),
+    ("use quantum_euclidean(n=0)", 0),
+    ("use quantum_euclidean(n=1)", 1),
+])
+def test_every_family_accepts_its_smallest_size(tmp_path, capsys, source, generators):
+    code, out = invoke(capsys, "verify", write(tmp_path, source + "\n"))
+    assert code == 0
+    assert report_of(out)["status"] == "ok"
+    p = parse(source + "\n")
+    assert p.ngens == generators
+    assert parse(print_presentation(p)) == p
+
+
 def test_parse_explicit_file():
     p = parse(PLANE_FILE)
     assert p.generators == ("x1", "x2")
@@ -500,6 +522,66 @@ def test_unreadable_input_is_a_usage_error(tmp_path, capsys):
     assert rep["inputs_digest"] == sha256("")
 
 
+@pytest.fixture
+def digit_limit():
+    """The interpreter's default limit on integer string digits, for one test."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+LONG = "1" * 5000
+
+
+@pytest.mark.parametrize("source,argv,message", [
+    pytest.param(f"use quantum_affine(n={LONG})", ["verify"],
+                 "line 1, col 22: integer literal has 5000 digits, above the limit 4300",
+                 id="zoo size"),
+    pytest.param("use quantum_affine(n=2)", ["nf", f"x1^{LONG}"],
+                 "line 1, col 4: integer literal has 5000 digits, above the limit 4300",
+                 id="exponent"),
+    pytest.param("use quantum_affine(n=2)", ["nf", LONG],
+                 "line 1, col 1: integer literal has 5000 digits, above the limit 4300",
+                 id="bare"),
+    pytest.param("use quantum_affine(n=\u00b2)", ["verify"],
+                 "line 1, col 22: unexpected character '\u00b2'", id="superscript size"),
+    pytest.param("use quantum_affine(n=2)", ["nf", "x1^\u00b2"],
+                 "line 1, col 4: unexpected character '\u00b2'", id="superscript exponent"),
+])
+def test_literals_int_cannot_read_are_parse_errors(tmp_path, capsys, digit_limit,
+                                                   source, argv, message):
+    code, out = invoke(capsys, argv[0], write(tmp_path, source + "\n"), *argv[1:])
+    assert code == 2
+    rep = report_of(out)
+    assert rep["status"] == "error"
+    assert rep["results"]["message"] == message
+
+
+# A power of a parenthesized expression is repeated multiplication, so the
+# power here is small: (2*x1)^20000 fails the same way after about 30 s.
+@pytest.mark.parametrize("argv", [["3^10000*x1"], ["(10^2200*x1)^2"],
+                                  ["q_1_2^5000*x1", "--specialize", "q_1_2=10"]],
+                         ids=["literal power", "parenthesized power", "specialized"])
+def test_coefficients_too_long_to_print_fail(tmp_path, capsys, digit_limit, argv):
+    path = write(tmp_path, "use quantum_affine(n=2)\n")
+    code, out = invoke(capsys, "nf", path, *argv)
+    assert code == 1
+    rep = report_of(out)
+    assert rep["status"] == "fail"
+    assert rep["results"]["message"] == ("coefficient has more than 4300 digits, "
+                                         "the limit for printing an integer")
+
+
+def test_specialize_literal_too_long_is_a_usage_error(tmp_path, capsys, digit_limit):
+    path = write(tmp_path, "use quantum_affine(n=2)\n")
+    code, out = invoke(capsys, "nf", path, "x1", "--specialize", f"q_1_2={LONG}")
+    assert code == 2
+    rep = report_of(out)
+    assert rep["status"] == "error"
+    assert rep["results"]["message"] == f"bad rational {LONG!r}"
+
+
 @pytest.mark.parametrize("from_set,to_set", [("", "0"), ("1", "1,5"), ("", "3")])
 def test_witness_rejects_missing_generators(tmp_path, capsys, from_set, to_set):
     path = write(tmp_path, "use quantum_affine(n=2)\n")
@@ -551,7 +633,7 @@ def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
         run(argv)
     capsys.readouterr()
     # the top-level parser and one per subcommand, all built by the first call
-    assert len(built) == 1 + len(cli._HANDLERS)
+    assert len(built) == 1 + len(cli.COMMANDS)
 
 
 def test_fuel_env_is_read_on_every_call(tmp_path, capsys, monkeypatch):

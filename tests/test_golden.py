@@ -6,7 +6,9 @@ The stratification, Hilbert and normality digests were recorded before the
 structural checks in strat, pbw and grading replaced their per-prime and
 per-monomial recomputations; the verify, nf, weights and eigencheck digests
 were recorded while the DSL still expanded every product into words and
-reduced each word on its own.
+reduced each word on its own.  The `qdet-verify` and `sl-check` digests and
+one error envelope per row of the CLI's error table were recorded before the
+subcommands moved into one command table.
 """
 
 import hashlib
@@ -27,6 +29,20 @@ SOURCES = {
     "sp3": "use quantum_symplectic(n=3)\n",
     "eu5": "use quantum_euclidean(n=5)\n",
     "qt3": "use quantum_torus(n=3)\n",
+    "qa2": "use quantum_affine(n=2)\n",
+    "m22": "use quantum_matrices(m=2, n=2)\n",
+    # 2x2 quantum matrices with the X21*X11 swap scalar squared: not confluent
+    "m22bad": ("algebra broken\nparams lam p_2_1\ngenerators X11 X12 X21 X22\nrules\n"
+               "X12 * X11 = p_2_1^-1 * X11*X12\nX21 * X11 = lam^2*p_2_1^2 * X11*X21\n"
+               "X21 * X12 = lam*p_2_1^2 * X12*X21\n"
+               "X22 * X11 = X11*X22 + (-p_2_1 + lam*p_2_1) * X12*X21\n"
+               "X22 * X12 = lam*p_2_1 * X12*X22\nX22 * X21 = p_2_1^-1 * X21*X22\n"
+               "weights\nX11 = (1, 0, 1, 0)\nX12 = (1, 0, 0, 1)\n"
+               "X21 = (0, 1, 1, 0)\nX22 = (0, 1, 0, 1)\n"),
+    # a swap scalar of sign -1: genericity is not certified
+    "signed": ("algebra signed\nparams q\ngenerators x1 x2\nrules\n"
+               "x2 * x1 = -q * x1 * x2\nweights\nx1 = (1, 0)\nx2 = (0, 1)\n"),
+    "syntax": "algebra ???\n",
 }
 
 # (source, argv after the file) -> (exit code, sha256 of stdout); the 3x3
@@ -110,15 +126,27 @@ GOLDEN = {
     ('qt3', ('weights', 'x3*x1^-1 - 2*q_1_2*(x2*x1)^2')): (0, "39711c369bfc3a476fdb4b5d1656cf8534fb5218a7aaccec3ac7630453d55c8d"),
     ('qt3', ('eigencheck', '(x3^-1*x2)^3')): (0, "91ea9024d6bf16d4da3e0962f789a935e0da61c2884fa8c8fed17e184c0a2b20"),
     ('qt3', ('nf', 'x3*x1^-1 - 2*q_1_2*(x2*x1)^2', '--specialize', 'q_1_2=2,q_1_3=-1/3,q_2_3=5')): (0, "dcf1662e4caa2190717a56a163877326ae891cd15a0c7aec78e2aae95cdc349e"),
+    # one envelope per kind of failure (exit 1) and error (exit 2)
+    ('m22bad', ('verify',)): (1, "f2f9472fac2d1b0e0dfd2b23878ef36ebbb4d316cea4f45173cc8efd49712f73"),
+    ('m22', ('nf', 'X22*X11*X21', '--fuel', '1')): (1, "1f41514001c665fa1fc981a3ae15de39bf390353e0b3c7aaf2761f03296a3454"),
+    ('signed', ('hspec',)): (1, "388a91cba12db55fe06920ea2678b0adc6e86c8036fae23a77874f2fec130405"),
+    ('qa2', ('nf', 'x2*x1', '--specialize', 'q_1_2=0')): (2, "1a83f4455d4702185136a9019e860723bb6b2c56d68aff68a5bd5f700ccb4fe3"),
+    ('qa2', ('nf', 'x1^-1')): (2, "b2170422525e601de95e5d2d9ffafe0552ed69f46ec3a0271ab3dcd4c644e3b1"),
+    ('syntax', ('verify',)): (2, "5b2bd1687d06e36e602295987005e96851f846b1d9d2db9f4920cfb887ac52b0"),
 }
 
 
-# argv -> (exit code, sha256 of stdout) for `qdet`, which reads no file;
-# recorded while the handler still built the matrix presentation it never read.
+# argv -> (exit code, sha256 of stdout) for the matrix commands, which read no
+# file; the `qdet` digests were recorded while its handler still built the
+# matrix presentation it never read.
 QDET_GOLDEN = {
     ('qdet', '--n', '2'): (0, "811387f79872ffe81b0dc04b951224fc338032033cd3f8b66c88938e5beb4ab8"),
     ('qdet', '--n', '3', '--single-param'): (0, "f0db63ed87b2f659ef43ff57d6ca502e8d1e744ef75b6cf774a034c67af7668e"),
     ('qdet', '--n', '2', '--specialize', 'lam=2,p_2_1=-3/2'): (0, "9f8b3bef23cf6b18849ab6dd839d8e12dc8272addb308dd63f25b7d53f45c27d"),
+    ('qdet-verify', '--n', '2'): (0, "db3c110a5dddade263cdb77d39b0e7b66534841bdfc28acecc8e9e009ef0e99a"),
+    ('qdet-verify', '--n', '3', '--single-param'): (0, "f417c15fef245b62bd864b720cb367ac563efb342f3523fe08932cdec3a086f2"),
+    ('sl-check', '--n', '2'): (0, "fa572bc7f807cbb227f72cd1452c24b9429a0d056268f89371d470c9625e36d3"),
+    ('sl-check', '--n', '3', '--single-param'): (0, "e0da667e0241c12914c387a5701986281bb3bbee9160c70249ad2e7e4e17fc3b"),
 }
 
 
