@@ -10,7 +10,8 @@ from .coeff import (Coefficient, CoeffError, ContextMismatch, NonUnitDivision,
                     ParamContext, SpecializationError, UnitMonomial)
 from .pbw import (DEFAULT_FUEL, Element, EngineError, FuelExhausted,
                   NegativeExponent, OverlapReport, Presentation,
-                  PresentationError, Rule, diamond_check, gen, hilbert_count,
-                  leading_term, monomial, multiply, normal_form, one, power)
+                  PresentationError, Rule, WordTooLong, diamond_check, gen,
+                  hilbert_count, leading_term, monomial, multiply, normal_form,
+                  one, power)
 
 __version__ = "0.1.0"

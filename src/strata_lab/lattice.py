@@ -1,9 +1,9 @@
 """Exact integer linear algebra: Hermite and Smith normal forms, kernels.
 
-Matrices are plain lists of lists of Python ints.  Algorithms are the naive
-arbitrary-precision ones; matrices here stay small, so exactness beats
-asymptotics.  Every public call re-verifies its defining identities before
-returning.
+Matrices are plain lists of lists of Python ints.  One elimination, the
+Hermite form, serves every call; the Smith form alternates it over rows and
+columns.  Entries stay small because every pass reduces modulo its pivots.
+Every public call re-verifies its defining identities before returning.
 """
 
 from __future__ import annotations
@@ -74,14 +74,11 @@ def det(A):
     return sign * M[n - 1][n - 1]
 
 
-def hnf(A):
-    """Row Hermite normal form: (H, U) with U unimodular and U*A = H.
-
-    Pivots are positive, entries above each pivot reduced into [0, pivot).
-    """
-    rows, cols = _shape(A)
-    H = _copy(A)
-    U = _identity(rows)
+def _hnf(H, U):
+    """Row-reduce H in place to Hermite normal form, applying every row
+    operation to U as well.  Pivots are positive, entries above each pivot
+    reduced into [0, pivot)."""
+    rows, cols = len(H), len(H[0]) if H else 0
     r = 0
     for c in range(cols):
         if r == rows:
@@ -115,6 +112,17 @@ def hnf(A):
                     H[i] = [a - q * b for a, b in zip(H[i], H[r])]
                     U[i] = [a - q * b for a, b in zip(U[i], U[r])]
             r += 1
+
+
+def hnf(A):
+    """Row Hermite normal form: (H, U) with U unimodular and U*A = H.
+
+    Pivots are positive, entries above each pivot reduced into [0, pivot).
+    """
+    rows, _ = _shape(A)
+    H = _copy(A)
+    U = _identity(rows)
+    _hnf(H, U)
     if matmul(U, A) != H:
         raise AssertionError("HNF verification failed: U*A != H")
     if det(U) not in (1, -1):
@@ -123,81 +131,35 @@ def hnf(A):
 
 
 def snf(A):
-    """Smith normal form: (U, S, V) with S = U*A*V diagonal, d_i | d_{i+1}."""
+    """Smith normal form: (U, S, V) with S = U*A*V diagonal, d_i | d_{i+1}.
+
+    Row and column Hermite forms alternate until S is diagonal (Kannan and
+    Bachem, SIAM J. Comput. 8(4), 1979); a diagonal that breaks the chain
+    gets row j added to row i and goes round again.  The diagonal comes out
+    nonnegative because Hermite pivots are positive.
+    """
     rows, cols = _shape(A)
     S = _copy(A)
     U = _identity(rows)
-    V = _identity(cols)
-
-    def row_op(i, k, q):  # row_i -= q * row_k
-        S[i] = [a - q * b for a, b in zip(S[i], S[k])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[k])]
-
-    def col_op(j, k, q):  # col_j -= q * col_k
-        for row in S:
-            row[j] -= q * row[k]
-        for row in V:
-            row[j] -= q * row[k]
-
-    t = 0
-    while t < min(rows, cols):
-        # find a nonzero pivot in the trailing block
-        piv = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if S[i][j] and (best is None or abs(S[i][j]) < best):
-                    best = abs(S[i][j])
-                    piv = (i, j)
-        if piv is None:
-            break
-        i0, j0 = piv
-        if i0 != t:
-            S[t], S[i0] = S[i0], S[t]
-            U[t], U[i0] = U[i0], U[t]
-        if j0 != t:
-            for row in S:
-                row[t], row[j0] = row[j0], row[t]
-            for row in V:
-                row[t], row[j0] = row[j0], row[t]
-        # clear row and column t
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, rows):
-                if S[i][t]:
-                    q = S[i][t] // S[t][t]
-                    row_op(i, t, q)
-                    if S[i][t]:
-                        S[t], S[i] = S[i], S[t]
-                        U[t], U[i] = U[i], U[t]
-                        dirty = True
-            for j in range(t + 1, cols):
-                if S[t][j]:
-                    q = S[t][j] // S[t][t]
-                    col_op(j, t, q)
-                    if S[t][j]:
-                        for row in S:
-                            row[t], row[j] = row[j], row[t]
-                        for row in V:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-        # enforce divisibility of the trailing block by the pivot
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if S[i][j] % S[t][t]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_op(t, offender, -1)  # add offending row to pivot row, redo
+    Vt = _identity(cols)  # V transposed: column operations are rows of S^T
+    _hnf(S, U)
+    while True:
+        if any(S[i][j] for i in range(rows) for j in range(cols) if i != j):
+            # columns first: a row pass right after a repair undoes it
+            T = transpose(S)
+            _hnf(T, Vt)
+            S = transpose(T)
+            _hnf(S, U)
             continue
-        if S[t][t] < 0:
-            S[t] = [-x for x in S[t]]
-            U[t] = [-x for x in U[t]]
-        t += 1
+        d = [S[k][k] for k in range(min(rows, cols))]
+        bad = next(((i, j) for i in range(len(d)) for j in range(i + 1, len(d))
+                    if d[i] and d[j] % d[i]), None)
+        if bad is None:
+            break
+        i, j = bad
+        S[i] = [a + b for a, b in zip(S[i], S[j])]
+        U[i] = [a + b for a, b in zip(U[i], U[j])]
+    V = transpose(Vt)
     if matmul(matmul(U, A), V) != S:
         raise AssertionError("SNF verification failed: U*A*V != S")
     if det(U) not in (1, -1) or det(V) not in (1, -1):
@@ -210,11 +172,7 @@ def snf(A):
 
 
 def rank(A):
-    rows, cols = _shape(A)
-    if rows == 0 or cols == 0:
-        return 0
-    _, S, _ = snf(A)
-    return sum(1 for k in range(min(rows, cols)) if S[k][k])
+    return sum(1 for row in hnf(A)[0] if any(row))
 
 
 def kernel_basis(A):

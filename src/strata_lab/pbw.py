@@ -37,6 +37,7 @@ from typing import Mapping, Sequence
 from .coeff import Coefficient, ContextMismatch, ParamContext, UnitMonomial
 
 DEFAULT_FUEL = 10 ** 6
+MAX_WORD_LETTERS = 10 ** 7  # the longest word the engine expands into letters
 
 
 class EngineError(Exception):
@@ -53,6 +54,10 @@ class NegativeExponent(EngineError):
 
 class PresentationError(EngineError):
     """Structurally invalid presentation or element."""
+
+
+class WordTooLong(EngineError):
+    """A word has more letters than MAX_WORD_LETTERS."""
 
 
 class Element:
@@ -263,7 +268,18 @@ class Fuel:
             raise FuelExhausted("rewrite budget exceeded")
 
 
+def _check_length(count: int) -> None:
+    if count > MAX_WORD_LETTERS:
+        try:
+            text = str(count)
+        except ValueError:  # longer than the interpreter prints
+            text = f"about 2^{count.bit_length()}"
+        raise WordTooLong(f"a word of {text} letters is longer than the limit of "
+                          f"{MAX_WORD_LETTERS} letters")
+
+
 def _letters(exp: Sequence[int]) -> list[tuple[int, int]]:
+    _check_length(sum(map(abs, exp)))
     out = []
     for i, e in enumerate(exp):
         if e > 0:
@@ -360,17 +376,19 @@ def _multiply_out(p: Presentation, bases: list, finished: dict) -> Element:
 
 
 def _word_letters(p: Presentation, word) -> list[tuple[int, int]]:
-    letters: list[tuple[int, int]] = []
+    syllables = []
     for gen, e in word:
         idx = p.gen_index(gen) if isinstance(gen, str) else int(gen)
         if not 0 <= idx < p.ngens:
             raise PresentationError(f"generator index {idx} out of range")
         e = int(e)
-        if e == 0:
-            continue
         if e < 0 and not p.invertible[idx]:
             raise NegativeExponent(
                 f"negative power of non-invertible generator {p.generators[idx]}")
+        syllables.append((idx, e))
+    _check_length(sum(abs(e) for _, e in syllables))
+    letters: list[tuple[int, int]] = []
+    for idx, e in syllables:
         letters.extend([(idx, 1 if e > 0 else -1)] * abs(e))
     return letters
 

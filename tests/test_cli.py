@@ -582,6 +582,21 @@ def test_specialize_literal_too_long_is_a_usage_error(tmp_path, capsys, digit_li
     assert rep["results"]["message"] == f"bad rational {LONG!r}"
 
 
+@pytest.mark.parametrize("family,expr,letters", [
+    ("quantum_affine(n=2)", "x2^99999999999999999999*x1", 99999999999999999999),
+    ("quantum_affine(n=2)", "x2^9999999999*x1", 9999999999),
+    ("quantum_torus(n=2)", "x1^-99999999999999999999*x2", 99999999999999999999),
+])
+def test_words_past_the_letter_limit_fail(tmp_path, capsys, family, expr, letters):
+    path = write(tmp_path, f"use {family}\n")
+    code, out = invoke(capsys, "nf", path, expr)
+    assert code == 1
+    rep = report_of(out)
+    assert rep["status"] == "fail"
+    assert rep["results"]["message"] == (f"a word of {letters} letters is longer "
+                                         "than the limit of 10000000 letters")
+
+
 @pytest.mark.parametrize("from_set,to_set", [("", "0"), ("1", "1,5"), ("", "3")])
 def test_witness_rejects_missing_generators(tmp_path, capsys, from_set, to_set):
     path = write(tmp_path, "use quantum_affine(n=2)\n")

@@ -91,6 +91,16 @@ def test_snf_randomized():
                 assert a and b % a == 0
 
 
+def test_snf_transforms_stay_small():
+    # an elimination that never reduces modulo its pivots gives U and V
+    # entries of 72 digits here
+    A = [[-8, -9, -8, 0, 8], [2, -3, 4, 4, 0], [3, 3, 3, -8, 4], [-5, -5, -9, 1, -3],
+         [6, -8, 6, -6, 6]]
+    U, S, V = snf(A)
+    assert [S[k][k] for k in range(5)] == [1, 1, 1, 2, 860]
+    assert all(abs(x) < 10 ** 9 for M in (U, V) for row in M for x in row)
+
+
 def test_kernel_full_rank_is_empty():
     assert kernel_basis([[0, 1], [-1, 0]]) == []
 

@@ -1,8 +1,8 @@
 """`lattice` against sympy, an independent implementation of the same normal
 forms.  The two follow different conventions (sympy's Hermite form is
 column-style, its nullspace is rational), so where they differ the test
-compares invariants: invariant factors, the row lattice, the rank, and the
-kernel over Q and over Z."""
+compares invariants: invariant factors, the row lattice, the rank, the kernel
+over Q and over Z, and the determinant."""
 
 import math
 import random
@@ -12,7 +12,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form  # noqa: E402
 
-from strata_lab.lattice import hnf, kernel_basis, rank, snf  # noqa: E402
+from strata_lab.lattice import det, hnf, kernel_basis, rank, snf  # noqa: E402
 
 SEED = 53
 EMPTY = [[], [[]], [[], [], []]]  # 0x0, 1x0 and 3x0
@@ -32,6 +32,22 @@ def random_matrices(rng, count):
                          for j in range(cols)] for i in range(rows)])
         else:
             out.append([[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)])
+    return out
+
+
+def larger_matrices(rng, count):
+    """Square 6x6 matrices and antisymmetric 7x7 ones (the exponent matrices
+    of single-parameter quantum affine spaces), entries in [-9, 9]: sizes at
+    which an elimination that never reduces modulo its pivots blows up."""
+    out = [[[rng.randint(-9, 9) for _ in range(6)] for _ in range(6)]
+           for _ in range(count)]
+    for _ in range(count):
+        A = [[0] * 7 for _ in range(7)]
+        for i in range(7):
+            for j in range(i + 1, 7):
+                A[i][j] = rng.randint(-9, 9)
+                A[j][i] = -A[i][j]
+        out.append(A)
     return out
 
 
@@ -69,7 +85,8 @@ def primitive(column):
 @pytest.fixture(scope="module")
 def matrices():
     print(f"\nlattice vs sympy: seed {SEED}")
-    return EMPTY + random_matrices(random.Random(SEED), 150)
+    rng = random.Random(SEED)
+    return EMPTY + random_matrices(rng, 150) + larger_matrices(rng, 8)
 
 
 def test_snf_invariant_factors_match_sympy(matrices):
@@ -110,3 +127,11 @@ def test_kernel_basis_matches_sympy_nullspace(matrices):
         # of sympy's rational vectors lies in the integer span of ours
         assert all(coordinates([list(v) for v in null], b) is not None for b in basis), A
         assert all(in_lattice(basis, primitive(list(v))) for v in null), A
+
+
+def test_det_matches_sympy(matrices):
+    square = [A for A in matrices if len(A) == (len(A[0]) if A else 0)]
+    assert len(square) > 16
+    for A in square:
+        # Berkowitz's division-free algorithm, not the fraction-free one of det
+        assert det(A) == to_sympy(A).det(method="berkowitz"), A

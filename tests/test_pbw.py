@@ -3,11 +3,11 @@ import zlib
 
 import pytest
 
-from strata_lab import zoo
+from strata_lab import pbw, zoo
 from strata_lab.coeff import Coefficient, ParamContext
 from strata_lab.grading import is_homogeneous, weight_of
 from strata_lab.pbw import (Element, FuelExhausted, NegativeExponent,
-                            Presentation, PresentationError, Rule,
+                            Presentation, PresentationError, Rule, WordTooLong,
                             diamond_check, gen, hilbert_count, leading_term,
                             monomial, multiply, normal_form, one, order_key,
                             power)
@@ -239,6 +239,25 @@ def test_negative_exponent_rejected(plane):
         normal_form(plane, [("x1", -1)])
     with pytest.raises(NegativeExponent):
         monomial(plane, (-1, 0))
+
+
+def test_words_past_the_letter_limit_are_rejected_before_expansion(plane):
+    with pytest.raises(WordTooLong, match=r"^a word of 100000000000000000001 letters "
+                                          r"is longer than the limit of 10000000 letters$"):
+        normal_form(plane, [("x2", 10 ** 20), ("x1", 1)])
+    with pytest.raises(WordTooLong, match="longer than the limit"):
+        normal_form(plane, [("x2", 10 ** 5000)])  # a count too long to print
+
+
+def test_letter_limit_counts_every_letter(plane, monkeypatch):
+    monkeypatch.setattr(pbw, "MAX_WORD_LETTERS", 4)
+    assert normal_form(plane, [("x2", 3), ("x1", 1)])
+    with pytest.raises(WordTooLong):
+        normal_form(plane, [("x2", 4), ("x1", 1)])
+    t = zoo.quantum_torus_generic(2)
+    assert multiply(t, monomial(t, (2, -2)), gen(t, "x1"))
+    with pytest.raises(WordTooLong):
+        multiply(t, monomial(t, (2, -3)), gen(t, "x1"))
 
 
 def test_torus_words_with_inverses():
