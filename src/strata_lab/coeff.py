@@ -38,14 +38,29 @@ class SpecializationError(CoeffError):
 class TooManyDigits(CoeffError):
     """An integer longer than the interpreter prints (sys.get_int_max_str_digits)."""
 
+    def __init__(self):
+        super().__init__(f"coefficient has more than {max_digits()} digits, "
+                         "the limit for printing an integer")
+
+
+# The most digits str() prints; 0, no limit, before Python 3.10.7.
+max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
 
 def number_text(value: int | Fraction) -> str:
     """str(value), or TooManyDigits when an integer in it is too long to print."""
     try:
         return str(value)
     except ValueError as exc:
-        raise TooManyDigits(f"coefficient has more than {sys.get_int_max_str_digits()} "
-                            "digits, the limit for printing an integer") from exc
+        raise TooManyDigits() from exc
+
+
+def check_power_digits(base: int, k: int) -> None:
+    """TooManyDigits when abs(base) ** k, k >= 0, is too long to print, estimated
+    from bit lengths and rounded down, so a printable power is never refused."""
+    limit = max_digits()
+    if limit and k * (abs(base).bit_length() - 1) * 30102 >= limit * 100000:
+        raise TooManyDigits()
 
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -231,6 +246,9 @@ class Coefficient:
     def __pow__(self, k: int) -> "Coefficient":
         if k < 0:
             return self.invert_unit() ** (-k)
+        if len(self.terms) == 1:  # a monomial is raised termwise
+            (exp, c), = self.terms.items()
+            return Coefficient.monomial(self.context, c ** k, (e * k for e in exp))
         res = Coefficient.one(self.context)
         base = self
         while k:
@@ -302,7 +320,8 @@ class Coefficient:
                                     tuple(a - b for a, b in zip(ea, eb)))
 
     def specialize(self, assignment: Mapping[str, Fraction | int]) -> Fraction:
-        """Evaluate at an exact rational point; every symbol must map to a nonzero rational."""
+        """Evaluate at an exact rational point; every symbol must map to a nonzero rational.
+        A power too long to print is refused first, even where others cancel it."""
         values = []
         for name in self.context.symbols:
             if name not in assignment:
@@ -311,6 +330,10 @@ class Coefficient:
             if v == 0:
                 raise SpecializationError(f"symbol {name!r} assigned zero; symbols are invertible")
             values.append(v)
+        for v, column in zip(values, zip(*self.terms)):  # the largest power of each
+            top = max(map(abs, column))
+            check_power_digits(v.numerator, top)
+            check_power_digits(v.denominator, top)
         total = Fraction(0)
         for exp, c in self.terms.items():
             term = Fraction(c)
@@ -326,7 +349,7 @@ class Coefficient:
         for name, e in zip(self.context.symbols, exp):
             if e == 0:
                 continue
-            factors.append(name if e == 1 else f"{name}^{e}")
+            factors.append(name if e == 1 else f"{name}^{number_text(e)}")
         mag = number_text(abs(c))
         if not factors:
             return mag

@@ -18,11 +18,10 @@ with integer exponents, and parentheses.  '#' starts a comment.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 from . import zoo
-from .coeff import Coefficient, NonUnitDivision, ParamContext
+from .coeff import Coefficient, NonUnitDivision, ParamContext, check_power_digits, max_digits
 from .pbw import (Element, Fuel, NegativeExponent, Presentation, PresentationError,
                   Rule, format_element, product)
 
@@ -53,14 +52,11 @@ class Token:
 
 _OPS = set("*+-=^(),")
 
-# The most digits int() converts; 0, no limit, before Python 3.10.7.
-_max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
-
 
 def tokenize(text: str) -> list[Token]:
     """Tokens of a source text; an integer literal is decimal digits, no more
     of them than int() converts."""
-    max_digits = _max_digits()
+    limit = max_digits()  # int() converts as many digits as str() prints
     toks: list[Token] = []
     line = 1
     col = 1
@@ -86,9 +82,9 @@ def tokenize(text: str) -> list[Token]:
             j = i
             while j < n and text[j].isdecimal():
                 j += 1
-            if 0 < max_digits < j - i:
+            if 0 < limit < j - i:
                 raise DslError(f"integer literal has {j - i} digits, above the limit "
-                               f"{max_digits}", line, col)
+                               f"{limit}", line, col)
             toks.append(Token("INT", text[i:j], line, col))
             col += j - i
             i = j
@@ -201,18 +197,14 @@ class _ExprParser:
             self.s.next()
             k = self._exponent()
             value = int(t.value)
-            if k is None or k >= 0:
-                value = value ** (k if k is not None else 1)
-            elif value in (1, -1):
-                value = value ** (-k)
-            else:
+            if k is not None and k < 0 and value not in (1, -1):
                 raise DslError(f"cannot invert the integer {value}", t.line, t.col)
-            return self._scalar(Coefficient.integer(self.ctx, value))
+            return self._power(self._scalar(Coefficient.integer(self.ctx, value)), k)
         if t.kind == "NAME":
             self.s.next()
             k = self._exponent()
-            k = 1 if k is None else k
             if t.value in self.gens:
+                k = 1 if k is None else k
                 idx = self.gens[t.value]
                 if k < 0 and not self.invertible[idx]:
                     raise NegativeExponent(
@@ -221,22 +213,34 @@ class _ExprParser:
                 exp[idx] = k
                 return Element({tuple(exp): Coefficient.one(self.ctx)})
             if t.value in self.ctx:
-                return self._scalar(Coefficient.symbol(self.ctx, t.value, k))
+                return self._power(self._scalar(Coefficient.symbol(self.ctx, t.value)), k)
             raise DslError(f"unknown symbol {t.value!r}", t.line, t.col)
         if t.kind == "OP" and t.value == "(":
             self.s.next()
             inner = self.expr()
             self.s.expect("OP", ")")
             k = self._exponent()
-            if k is None:
-                return inner
-            if k < 0:
+            if k is not None and k < 0:
                 raise DslError("cannot invert a parenthesized expression", t.line, t.col)
-            value = self._scalar(Coefficient.one(self.ctx))
-            for _ in range(k):
-                value = self.product(value, inner)
-            return value
+            return self._power(inner, k)
         raise DslError(f"unexpected token {t.value!r}", t.line, t.col)
+
+    def _power(self, base: Element, k: int | None) -> Element:
+        """base^k, k negative only for a unit scalar.  A scalar is one Coefficient
+        power, refused first if a single term's integer part is too long to print;
+        anything else is multiplied k times, left to right, as if written out."""
+        if k is None:
+            return base
+        zero = (0,) * len(self.gens)
+        if base.terms.keys() <= {zero}:
+            c = base.terms.get(zero, Coefficient.zero(self.ctx))
+            if len(c.terms) == 1:
+                check_power_digits(next(iter(c.terms.values())), abs(k))
+            return self._scalar(c ** k)
+        value = self._scalar(Coefficient.one(self.ctx))
+        for _ in range(k):
+            value = self.product(value, base)
+        return value
 
     def _exponent(self) -> int | None:
         t = self.s.peek()

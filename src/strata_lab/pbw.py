@@ -214,7 +214,7 @@ class Presentation:
         for (j, i), rule in self.rules.items():
             tails = []
             for exp, c in rule.tail.terms.items():
-                tails.append((len(self._factors), _letters(exp)))
+                tails.append((len(self._factors), _letters(self, enumerate(exp))))
                 self._factors.append(c)
             self._moves[j][i] = (rule.swap.sign, rule.swap.exponents, tuple(tails))
 
@@ -268,7 +268,27 @@ class Fuel:
             raise FuelExhausted("rewrite budget exceeded")
 
 
-def _check_length(count: int) -> None:
+def _letters(p: Presentation, syllables) -> list[tuple[int, int]]:
+    """The letters of a word of (generator index, exponent) pairs, the only
+    way a word enters the engine.  It first checks that each index names a
+    generator, that no non-invertible generator has a negative power
+    (NegativeExponent) and that there are at most MAX_WORD_LETTERS letters
+    (WordTooLong).  Nothing checks a word again, because rewriting keeps it
+    valid: a swap only permutes letters; Presentation rejects a tail with a
+    negative power of a non-invertible generator; and an inverse letter
+    belongs to an invertible generator, on whose pairs Presentation allows
+    no tail.
+    """
+    n = len(p.generators)
+    word = [(i, e) for i, e in syllables if e or not 0 <= i < n]  # a bad index stays
+    count = 0
+    for i, e in word:
+        if not 0 <= i < n:
+            raise PresentationError(f"generator index {i} out of range")
+        if e < 0 and not p.invertible[i]:
+            raise NegativeExponent(
+                f"negative power of non-invertible generator {p.generators[i]}")
+        count += abs(e)
     if count > MAX_WORD_LETTERS:
         try:
             text = str(count)
@@ -276,16 +296,9 @@ def _check_length(count: int) -> None:
             text = f"about 2^{count.bit_length()}"
         raise WordTooLong(f"a word of {text} letters is longer than the limit of "
                           f"{MAX_WORD_LETTERS} letters")
-
-
-def _letters(exp: Sequence[int]) -> list[tuple[int, int]]:
-    _check_length(sum(map(abs, exp)))
-    out = []
-    for i, e in enumerate(exp):
-        if e > 0:
-            out.extend([(i, 1)] * e)
-        elif e < 0:
-            out.extend([(i, -1)] * (-e))
+    out: list[tuple[int, int]] = []
+    for i, e in word:
+        out.extend([(i, 1 if e > 0 else -1)] * abs(e))
     return out
 
 
@@ -300,8 +313,6 @@ def _step(p: Presentation, item, k: int, pending: list) -> None:
     a, b = word[k], word[k + 1]
     usign, uexps, tails = p._moves[a[0]][b[0]]
     resume = k - 1 if k else 0
-    if tails and (a[1] != 1 or b[1] != 1):
-        raise PresentationError(f"inverse letter meets the tailful rule ({a[0]},{b[0]})")
     word[k], word[k + 1] = b, a
     # swap^(e*f) with e, f = +-1: the sign is unchanged by the power
     pending.append((base, factors, sign * usign,
@@ -321,7 +332,6 @@ def _reduce(p: Presentation, bases: list, pending: list, fuel: Fuel) -> Element:
     resume.  The coefficients are multiplied out once, after the last rewrite.
     """
     n = p.ngens
-    invertible = p.invertible
     finished: dict = {}  # (monomial, base, factors) -> {shift: summed sign}
     while pending:
         item = pending.pop()
@@ -335,9 +345,6 @@ def _reduce(p: Presentation, bases: list, pending: list, fuel: Fuel) -> Element:
             exps = [0] * n
             for idx, s in word:
                 exps[idx] += s
-            for i, e in enumerate(exps):
-                if e < 0 and not invertible[i]:
-                    raise NegativeExponent(f"negative power of {p.generators[i]}")
             key = (tuple(exps), item[0], item[1])
             shifts = finished.get(key)
             if shifts is None:
@@ -375,28 +382,11 @@ def _multiply_out(p: Presentation, bases: list, finished: dict) -> Element:
     return res
 
 
-def _word_letters(p: Presentation, word) -> list[tuple[int, int]]:
-    syllables = []
-    for gen, e in word:
-        idx = p.gen_index(gen) if isinstance(gen, str) else int(gen)
-        if not 0 <= idx < p.ngens:
-            raise PresentationError(f"generator index {idx} out of range")
-        e = int(e)
-        if e < 0 and not p.invertible[idx]:
-            raise NegativeExponent(
-                f"negative power of non-invertible generator {p.generators[idx]}")
-        syllables.append((idx, e))
-    _check_length(sum(abs(e) for _, e in syllables))
-    letters: list[tuple[int, int]] = []
-    for idx, e in syllables:
-        letters.extend([(idx, 1 if e > 0 else -1)] * abs(e))
-    return letters
-
-
 def normal_form(p: Presentation, word, scalar: Coefficient | None = None,
                 fuel: int | None = None) -> Element:
     """Reduce a word (list of (generator, exponent) pairs) to its normal form."""
-    letters = _word_letters(p, word)
+    letters = _letters(p, [(p.gen_index(g) if isinstance(g, str) else int(g), int(e))
+                           for g, e in word])
     if scalar is None:
         scalar = Coefficient.one(p.context)
     elif scalar.context != p.context:
@@ -414,10 +404,10 @@ def product(p: Presentation, a: Element, b: Element, fuel: Fuel) -> Element:
     if any(len(exp) != n for x in (a, b) for exp in x.terms):
         raise PresentationError("element width does not match presentation")
     zero = (0,) * len(p.context)
-    right = [(cb, _letters(eb)) for eb, cb in b.terms.items()]
+    right = [(cb, _letters(p, enumerate(eb))) for eb, cb in b.terms.items()]
     bases, pending = [], []
     for ea, ca in a.terms.items():
-        la = _letters(ea)
+        la = _letters(p, enumerate(ea))
         for cb, lb in right:
             pending.append((len(bases), (), 1, zero, la + lb, 0))
             bases.append(ca * cb)

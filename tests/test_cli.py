@@ -522,15 +522,6 @@ def test_unreadable_input_is_a_usage_error(tmp_path, capsys):
     assert rep["inputs_digest"] == sha256("")
 
 
-@pytest.fixture
-def digit_limit():
-    """The interpreter's default limit on integer string digits, for one test."""
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield 4300
-    sys.set_int_max_str_digits(old)
-
-
 LONG = "1" * 5000
 
 
@@ -580,6 +571,17 @@ def test_specialize_literal_too_long_is_a_usage_error(tmp_path, capsys, digit_li
     rep = report_of(out)
     assert rep["status"] == "error"
     assert rep["results"]["message"] == f"bad rational {LONG!r}"
+
+
+def test_parameter_exponents_too_long_to_print_fail(tmp_path, capsys, digit_limit):
+    # ten factors q_1_2^(10^4299) make an exponent of 4301 digits
+    path = write(tmp_path, "use quantum_affine(n=2)\n")
+    code, out = invoke(capsys, "nf", path, "*".join([f"q_1_2^1{'0' * 4299}"] * 10) + "*x1")
+    assert code == 1
+    rep = report_of(out)
+    assert rep["status"] == "fail"
+    assert rep["results"]["message"] == ("coefficient has more than 4300 digits, "
+                                         "the limit for printing an integer")
 
 
 @pytest.mark.parametrize("family,expr,letters", [
@@ -679,3 +681,32 @@ def test_shared_parser_gives_the_bytes_of_a_fresh_process(tmp_path, capsys, monk
         assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
         codes.append(code)
     assert codes == [2, 0, 0]
+
+
+# -- inputs that used to run without bound -----------------------------------------
+
+
+def _capped():
+    # the unfixed computations grow without bound; keep the child small
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv,status", [
+    (["(1)^999999999999*x1"], "ok"),
+    (["3^9999999999*x1"], "fail"),
+    (["q_1_2^100000000*x1", "--specialize", "q_1_2=3"], "fail"),
+], ids=["unit power", "literal power", "specialized power"])
+def test_large_scalar_powers_finish(tmp_path, argv, status):
+    path = write(tmp_path, "use quantum_affine(n=2)\n")
+    env = {**fresh_process_env(), "PYTHONINTMAXSTRDIGITS": "4300"}
+    out = subprocess.run([sys.executable, "-m", "strata_lab.cli", "nf", path, *argv],
+                         capture_output=True, text=True, env=env, timeout=10,
+                         preexec_fn=_capped)
+    rep = report_of(out.stdout)
+    assert (out.returncode, rep["status"]) == ((0, "ok") if status == "ok" else (1, "fail"))
+    if status == "ok":
+        assert rep["results"]["terms"] == [{"coeff": "1", "monomial": [1, 0]}]
+    else:
+        assert rep["results"]["message"] == ("coefficient has more than 4300 digits, "
+                                             "the limit for printing an integer")

@@ -1,10 +1,12 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from strata_lab.coeff import (Coefficient, ContextMismatch, NonUnitDivision,
-                              ParamContext, SpecializationError, UnitMonomial)
+                              ParamContext, SpecializationError, TooManyDigits,
+                              UnitMonomial, check_power_digits)
 from strata_lab.dsl import parse_coefficient
 
 import oracles
@@ -130,6 +132,41 @@ def test_power_negative_requires_unit():
     assert Q ** -3 == Coefficient.symbol(CTX, "q", -3)
     with pytest.raises(NonUnitDivision):
         (1 + Q) ** -1
+
+
+def test_monomial_powers_match_repeated_products():
+    c = -3 * Q * LAM.invert_unit() ** 2
+    want = ONE
+    for k in range(6):
+        assert c ** k == want
+        want = want * c
+    assert ZERO ** 0 == ONE and ZERO ** 3 == ZERO
+
+
+@pytest.mark.parametrize("base", [2, 3, 7, 10, 255, 256, 10 ** 50])
+def test_power_digit_bound_never_refuses_a_printable_power(digit_limit, base):
+    def printable(k):
+        try:
+            return len(str(base ** k)) <= digit_limit
+        except ValueError:
+            return False
+
+    k = int(digit_limit / math.log10(base)) + 2
+    while not printable(k):
+        k -= 1
+    check_power_digits(base, k)  # the largest printable power
+    check_power_digits(-base, k)
+    with pytest.raises(TooManyDigits, match="more than 4300 digits"):
+        check_power_digits(base, 2 * k)
+
+
+def test_specialize_refuses_powers_too_long_to_print(digit_limit):
+    assert (Q ** 100 * LAM ** -100).specialize({"q": 3, "lam": 3}) == 1
+    # refused before any power is computed, though the two would cancel
+    with pytest.raises(TooManyDigits):
+        (Q ** 20000 * LAM ** -20000).specialize({"q": 3, "lam": 3})
+    with pytest.raises(TooManyDigits):
+        (Q ** -2).specialize({"q": Fraction(1, 3) ** 9000, "lam": 1})
 
 
 def test_print_parse_round_trip():

@@ -6,11 +6,11 @@ import pytest
 from strata_lab import pbw, zoo
 from strata_lab.coeff import Coefficient, ParamContext
 from strata_lab.grading import is_homogeneous, weight_of
-from strata_lab.pbw import (Element, FuelExhausted, NegativeExponent,
+from strata_lab.pbw import (Element, Fuel, FuelExhausted, NegativeExponent,
                             Presentation, PresentationError, Rule, WordTooLong,
                             diamond_check, gen, hilbert_count, leading_term,
                             monomial, multiply, normal_form, one, order_key,
-                            power)
+                            power, product)
 
 import oracles
 
@@ -239,6 +239,23 @@ def test_negative_exponent_rejected(plane):
         normal_form(plane, [("x1", -1)])
     with pytest.raises(NegativeExponent):
         monomial(plane, (-1, 0))
+
+
+@pytest.mark.parametrize("word", [[(2, 1)], [(-1, 1)], [(5, 0), ("x1", 1)]])
+def test_generator_indices_out_of_range_are_rejected(plane, word):
+    with pytest.raises(PresentationError, match="out of range"):
+        normal_form(plane, word)
+
+
+@pytest.mark.parametrize("inverse_first", [True, False], ids=["tailed pair", "ascending"])
+def test_hand_built_negative_powers_are_rejected_before_rewriting(m2, inverse_first):
+    # X22^-1 X11 would meet the tailed rule of (X22, X11) at once
+    bad = Element({(0, 0, 0, -1): Coefficient.one(m2.context)})
+    x11 = gen(m2, "X11")
+    fuel = Fuel(5)
+    with pytest.raises(NegativeExponent, match="X22"):
+        product(m2, *((bad, x11) if inverse_first else (x11, bad)), fuel)
+    assert fuel.left == 5
 
 
 def test_words_past_the_letter_limit_are_rejected_before_expansion(plane):
