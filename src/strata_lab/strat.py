@@ -344,6 +344,35 @@ class StratificationReport:
                 and all(w.ok for w in self.locally_closed))
 
 
+def _mask_meet(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Intersection of two squarefree monomial ideals: the minimal lcms g | h
+    of their generators.
+
+    A mask has bit t set when x_{t+1} divides the monomial, so g divides h
+    exactly when g & ~h == 0.  After sorting by degree, only an earlier
+    generator can divide a later one.
+    """
+    out: list[int] = []
+    for g in sorted({g | h for g in a for h in b}, key=int.bit_count):
+        for h in out:
+            if not h & ~g:
+                break
+        else:
+            out.append(g)
+    return out
+
+
+def _mask_contains(a: Sequence[int], b: Sequence[int]) -> bool:
+    """Whether ideal a contains ideal b: each generator of b has a divisor in a."""
+    for h in b:
+        for g in a:
+            if not g & ~h:
+                break
+        else:
+            return False
+    return True
+
+
 def stratification_axioms_check(p: Presentation) -> StratificationReport:
     """Finite-poset shadow of the stratification laws.
 
@@ -359,33 +388,45 @@ def stratification_axioms_check(p: Presentation) -> StratificationReport:
     of height > d) contains one with a single generator more than J (or of
     height d + 1).  So (a) and (c) intersect over those primes only, with the
     same result as over all of them.
+
+    The ideal of a stable prime is generated by its variables, so every
+    intersection of such ideals is generated by squarefree monomials (lcms of
+    variables).  The checks therefore run on int bitmasks: a prime and a
+    squarefree monomial are the sets of their generators (bit i - 1 for x_i),
+    divisibility is g & ~h == 0, an lcm is g | h, and an ideal is its list of
+    minimal generators.  Containment is still computed from the generators,
+    never read off the poset order.  Each witness's `bigger` is turned back
+    into a MonomialIdeal of exponent tuples, so the report keeps the type that
+    callers and the definition oracle compare, and the bitmasks stay private
+    to this check.
     """
     primes = hspec_quantum_affine(p)
     n = p.ngens
-    whole = MonomialIdeal.make(n, [(0,) * n])
-    ideals = {w: ideal_of(p, w) for w in primes}
+    masks = [sum(1 << (i - 1) for i in w.members) for w in primes]
+    ideal = {m: [1 << (i - 1) for i in w.members] for w, m in zip(primes, masks)}
 
-    def meet(ws: list[HPrime]) -> MonomialIdeal:
-        out = whole
-        for w in ws:
-            out = out.intersect(ideals[w])
+    def meet(ms: Iterable[int]) -> list[int]:
+        out = [0]
+        for m in ms:
+            out = _mask_meet(out, ideal[m])
         return out
 
     witnesses = []
-    for j in primes:
-        bigger = meet([HPrime(j.members + (i,)) for i in range(1, n + 1) if i not in j])
-        ok = bigger.contains_ideal(ideals[j]) and not ideals[j].contains_ideal(bigger)
-        witnesses.append(LocallyClosedWitness(j, bigger, ok))
+    for w, m in zip(primes, masks):
+        bigger = meet(m | 1 << t for t in range(n) if not m >> t & 1)
+        ok = _mask_contains(bigger, ideal[m]) and not _mask_contains(ideal[m], bigger)
+        witnesses.append(LocallyClosedWitness(w, MonomialIdeal.make(
+            n, [tuple(g >> t & 1 for t in range(n)) for g in bigger]), ok))
 
-    closure_ok = all((ideals[k].contains_ideal(ideals[j])) == j.issubset(k)
-                     for j in primes for k in primes)
+    closure_ok = all(_mask_contains(ideal[k], ideal[j]) == (not j & ~k)
+                     for j in masks for k in masks)
 
     open_ok = True
     for d in range(n + 1):
-        tall = meet([k for k in primes if len(k.members) == d + 1])
-        for j in primes:
-            lies_in = ideals[j].contains_ideal(tall)
-            if (len(j.members) <= d) != (not lies_in):
+        tall = meet(k for k in masks if k.bit_count() == d + 1)
+        for j in masks:
+            lies_in = _mask_contains(ideal[j], tall)
+            if (j.bit_count() <= d) != (not lies_in):
                 open_ok = False
     return StratificationReport(witnesses, closure_ok, open_ok)
 

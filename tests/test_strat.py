@@ -1,4 +1,6 @@
 import itertools
+import random
+import zlib
 
 import pytest
 
@@ -281,6 +283,51 @@ def test_axioms_match_the_definition(n, single):
     assert {w.hprime: (w.bigger, w.ok) for w in report.locally_closed} == closed
     assert report.height_unions_open == open_ok
     assert report.passed
+
+
+@pytest.mark.parametrize("single", [False, True])
+@pytest.mark.parametrize("n", range(9))
+def test_witnesses_have_the_closed_form(n, single):
+    """The primes one generator above J meet in the ideal of J's variables and
+    the product of every variable outside J; for J = all, in the whole ring.
+    This checks the witnesses where the definition oracle is too slow."""
+    p = zoo.quantum_affine_single(n) if single else zoo.quantum_affine_generic(n)
+    report = stratification_axioms_check(p)
+    assert [w.hprime for w in report.locally_closed] == hspec_quantum_affine(p)
+    for w in report.locally_closed:
+        outside = tuple(0 if i in w.hprime else 1 for i in range(1, n + 1))
+        units = [tuple(1 if t == i - 1 else 0 for t in range(n)) for i in w.hprime.members]
+        if any(outside):
+            assert w.bigger.generators == tuple(sorted(units + [outside]))
+        else:
+            assert w.bigger.generators == ((0,) * n,)
+            assert w.bigger.is_whole_ring
+        assert w.bigger.width == n
+        assert w.ok
+    assert report.passed
+
+
+def test_squarefree_mask_helpers_match_monomial_ideals():
+    """The bitmask helpers of stratification_axioms_check against the
+    exponent-tuple MonomialIdeal, on random squarefree ideals."""
+    from strata_lab.strat import _mask_contains, _mask_meet
+    seed = zlib.crc32(b"squarefree mask helpers")
+    print(f"seed {seed}")
+    rng = random.Random(seed)
+
+    def tuples(width, masks):
+        return tuple(sorted(tuple(g >> t & 1 for t in range(width)) for g in masks))
+
+    for trial in range(3000):
+        width = trial % 8
+        pool = [[], [0]] + [[rng.getrandbits(width) for _ in range(rng.randrange(1, 6))]
+                            for _ in range(2)]
+        a, b = rng.choice(pool), rng.choice(pool)
+        ia = MonomialIdeal.make(width, tuples(width, a))
+        ib = MonomialIdeal.make(width, tuples(width, b))
+        assert tuples(width, _mask_meet(a, b)) == ia.intersect(ib).generators, (width, a, b)
+        assert _mask_contains(a, b) == ia.contains_ideal(ib), (width, a, b)
+        assert _mask_contains(b, a) == ib.contains_ideal(ia), (width, a, b)
 
 
 def test_hspec_checks_all_generator_pairs_once(monkeypatch):
