@@ -186,6 +186,8 @@ def _cmd_eigencheck(args, p):
 
 def _cmd_normalcheck(args, p):
     element = dsl.evaluate_expression(p, args.expr)
+    if not element:  # a certificate needs a leading term
+        raise dsl.DslError(f"normalcheck needs a nonzero element; {args.expr!r} is zero")
     cert = scalar_normality_check(p, element)
     results = {"algebra": p.name, "expr": args.expr, "scalar_normal": cert is not None}
     if cert is not None:

@@ -8,16 +8,18 @@ coefficients; reduction repeatedly rewrites the leftmost descending
 adjacent pair of letters, with a fuel bound (a count of rule applications)
 guaranteeing termination on arbitrary user input.
 
-Which word is rewritten next, and where, depends only on the words: a nonzero
-coefficient times a swap unit or a tail coefficient is never zero, so the
-coefficients only ride along (Bergman, The diamond lemma for ring theory,
-Adv. Math. 29, 1978).  A pending item therefore carries its coefficient in
-factored form: the index of its input scalar, the sorted tail coefficients
-it has picked up, and a sign and a parameter exponent shift that together
-are the product of its swap units.  A swap exchanges two letters of the
-item's mutable word in place and resumes the scan one letter to the left, so
-a run of tail-free swaps costs time linear in its length.  Finished words are
-grouped by monomial, input scalar and tail coefficients, and each group's
+Every entry point hands the one reducer, _reduce, seeds: scalar-times-word
+pairs (normal_form its word, product one concatenation per term pair,
+diamond_check the words each side of an overlap holds after its forced first
+rewrite).  Which word is rewritten next, and where, depends only on the
+words: a nonzero coefficient times a swap unit or a tail coefficient is never
+zero, so the coefficients only ride along (Bergman, The diamond lemma for
+ring theory, Adv. Math. 29, 1978).  A pending item carries its coefficient
+factored: its seed, the sorted tail coefficients it has picked up, and a sign
+and parameter shift that together are the product of its swap units.  A swap
+exchanges two letters in place and resumes the scan one letter to the left,
+so a run of tail-free swaps costs time linear in its length.  Finished words
+are grouped by monomial, seed and tail coefficients, and each group's
 coefficient is multiplied out once, after the last rewrite.
 
 Presentations and elements are immutable and normal_form/multiply are pure;
@@ -207,8 +209,8 @@ class Presentation:
         self.fuel = fuel
         self._gen_index = {g: k for k, g in enumerate(gens)}
         # _moves[hi][lo] = (swap sign, swap exponents, ((factor id, tail letters), ...)),
-        # the rule of a descending pair as _step applies it; _factors[id] is
-        # the coefficient of that tail term.
+        # the rule of a descending pair as _reduce applies it and diamond_check
+        # seeds it; _factors[id] is the coefficient of that tail term.
         self._moves = [[None] * n for _ in range(n)]
         self._factors = []
         for (j, i), rule in self.rules.items():
@@ -302,56 +304,49 @@ def _letters(p: Presentation, syllables) -> list[tuple[int, int]]:
     return out
 
 
-def _step(p: Presentation, item, k: int, pending: list) -> None:
-    """Apply the rule of the descending pair at position k of an item's word.
-
-    Pushes the swapped item onto pending, reusing the item's word list, and
-    then one item per tail term, so the tails are reduced first.  Every new
-    item resumes its scan at k-1: the letters before k are already ordered.
-    """
-    base, factors, sign, shift, word, _ = item
-    a, b = word[k], word[k + 1]
-    usign, uexps, tails = p._moves[a[0]][b[0]]
-    resume = k - 1 if k else 0
-    word[k], word[k + 1] = b, a
-    # swap^(e*f) with e, f = +-1: the sign is unchanged by the power
-    pending.append((base, factors, sign * usign,
-                    tuple(map(add if a[1] == b[1] else sub, shift, uexps)), word, resume))
-    for fid, letters in tails:
-        pending.append((base, tuple(sorted(factors + (fid,))), sign, shift,
-                        word[:k] + letters + word[k + 2:], resume))
-
-
-def _reduce(p: Presentation, bases: list, pending: list, fuel: Fuel) -> Element:
-    """Rewrite the leftmost descending pair of each pending word until none is left.
-
-    A pending item is (base, factors, sign, shift, word, resume): its
-    coefficient is bases[base] times the tail coefficients p._factors[f] for
-    f in the sorted tuple factors, times sign * (parameters ** shift); word
-    is a mutable list of (generator, +-1) letters, ordered before position
-    resume.  The coefficients are multiplied out once, after the last rewrite.
+def _reduce(p: Presentation, seeds: list, fuel: Fuel) -> Element:
+    """The normal form of the sum of seeds, (Coefficient, letter list) pairs
+    whose lists it takes over.  A pending item (base, factors, sign, shift,
+    word, resume) is seeds[base]'s scalar times p._factors[f] for f in the
+    sorted tuple factors, times sign * (parameters ** shift), times word, which
+    is ordered before position resume.  A rewrite pushes the swapped item, then
+    one item per tail term, so the tails are reduced first.
     """
     n = p.ngens
+    moves = p._moves
+    zero = (0,) * len(p.context)
+    pending = []
+    for base, (_, letters) in enumerate(seeds):
+        pending.append((base, (), 1, zero, letters, 0))
     finished: dict = {}  # (monomial, base, factors) -> {shift: summed sign}
     while pending:
-        item = pending.pop()
-        word = item[4]
-        for k in range(item[5], len(word) - 1):
+        base, factors, sign, shift, word, resume = pending.pop()
+        for k in range(resume, len(word) - 1):
             if word[k][0] > word[k + 1][0]:
                 fuel.tick()
-                _step(p, item, k, pending)
+                a, b = word[k], word[k + 1]
+                usign, uexps, tails = moves[a[0]][b[0]]
+                resume = k - 1 if k else 0
+                word[k], word[k + 1] = b, a
+                # swap^(e*f) with e, f = +-1: the sign is unchanged by the power
+                pending.append((base, factors, sign * usign,
+                                tuple(map(add if a[1] == b[1] else sub, shift, uexps)),
+                                word, resume))
+                for fid, letters in tails:
+                    pending.append((base, tuple(sorted(factors + (fid,))), sign, shift,
+                                    word[:k] + letters + word[k + 2:], resume))
                 break
         else:
             exps = [0] * n
-            for idx, s in word:
-                exps[idx] += s
-            key = (tuple(exps), item[0], item[1])
+            for idx, e in word:
+                exps[idx] += e
+            key = (tuple(exps), base, factors)
             shifts = finished.get(key)
             if shifts is None:
-                finished[key] = {item[3]: item[2]}
+                finished[key] = {shift: sign}
             else:
-                shifts[item[3]] = shifts.get(item[3], 0) + item[2]
-    return _multiply_out(p, bases, finished)
+                shifts[shift] = shifts.get(shift, 0) + sign
+    return _multiply_out(p, [c for c, _ in seeds], finished)
 
 
 def _multiply_out(p: Presentation, bases: list, finished: dict) -> Element:
@@ -393,25 +388,21 @@ def normal_form(p: Presentation, word, scalar: Coefficient | None = None,
         raise ContextMismatch("scalar over a different context")
     budget = Fuel(p.fuel if fuel is None else fuel)
     # a zero scalar is dropped unrewritten
-    pending = [(0, (), 1, (0,) * len(p.context), letters, 0)] if scalar else []
-    return _reduce(p, [scalar], pending, budget)
+    return _reduce(p, [(scalar, letters)] if scalar else [], budget)
 
 
 def product(p: Presentation, a: Element, b: Element, fuel: Fuel) -> Element:
     """Reduce every concatenation of a term of a with a term of b, drawing
     on the caller's budget."""
-    n = p.ngens
-    if any(len(exp) != n for x in (a, b) for exp in x.terms):
+    if any(len(exp) != p.ngens for x in (a, b) for exp in x.terms):
         raise PresentationError("element width does not match presentation")
-    zero = (0,) * len(p.context)
     right = [(cb, _letters(p, enumerate(eb))) for eb, cb in b.terms.items()]
-    bases, pending = [], []
+    seeds = []
     for ea, ca in a.terms.items():
         la = _letters(p, enumerate(ea))
         for cb, lb in right:
-            pending.append((len(bases), (), 1, zero, la + lb, 0))
-            bases.append(ca * cb)
-    return _reduce(p, bases, pending, fuel)
+            seeds.append((ca * cb, la + lb))
+    return _reduce(p, seeds, fuel)
 
 
 def multiply(p: Presentation, a: Element, b: Element,
@@ -486,20 +477,24 @@ class OverlapReport:
 
 
 def diamond_check(p: Presentation, fuel: int | None = None) -> list[OverlapReport]:
-    """Resolve every overlap x_k x_j x_i by both critical reduction orders."""
+    """Resolve every overlap x_k x_j x_i by both critical reduction orders,
+    seeding each side with the words its forced first rewrite leaves: the top
+    swap_kj x_j x_k x_i and c t x_i per tail term c t of (k, j), the bottom
+    swap_ji x_k x_i x_j and c x_k t per tail term of (j, i)."""
     size = p.fuel if fuel is None else fuel
     Fuel(size)  # rejected even when there is no overlap to resolve
-    bases = [Coefficient.one(p.context)]
-    zero = (0,) * len(p.context)
+    swaps = {pair: rule.swap.to_coefficient(p.context) for pair, rule in p.rules.items()}
+    c = p._factors
     reports = []
     for i, j, k in itertools.combinations(range(p.ngens), 3):
-        top: list = []
-        bot: list = []
-        _step(p, (0, (), 1, zero, [(k, 1), (j, 1), (i, 1)], 0), 0, top)
-        _step(p, (0, (), 1, zero, [(k, 1), (j, 1), (i, 1)], 0), 1, bot)
-        budget = Fuel(size)
+        x_i, x_j, x_k = (i, 1), (j, 1), (k, 1)
+        top = [(swaps[k, j], [x_j, x_k, x_i])] + [
+            (c[f], t + [x_i]) for f, t in p._moves[k][j][2]]
+        bot = [(swaps[j, i], [x_k, x_i, x_j])] + [
+            (c[f], [x_k] + t) for f, t in p._moves[j][i][2]]
+        budget = Fuel(size)  # one per overlap, the top side drawing first
         try:
-            diff = _reduce(p, bases, top, budget) - _reduce(p, bases, bot, budget)
+            diff = _reduce(p, top, budget) - _reduce(p, bot, budget)
             reports.append(OverlapReport((k, j, i), not diff, diff))
         except FuelExhausted:
             reports.append(OverlapReport((k, j, i), False, None, "fuel exhausted"))

@@ -358,6 +358,17 @@ def test_normalcheck(tmp_path, capsys):
     assert rep["results"]["mus"]["x2"] == "q_1_2"
 
 
+@pytest.mark.parametrize("expr", ["0", "x1-x1"])
+def test_normalcheck_rejects_zero_as_usage_error(tmp_path, capsys, expr):
+    text = "use quantum_affine(n=2)\n"
+    code, out = invoke(capsys, "normalcheck", write(tmp_path, text), expr)
+    rep = report_of(out)
+    assert code == 2 and rep["status"] == "error"
+    assert rep["results"]["message"] == (
+        f"normalcheck needs a nonzero element; {expr!r} is zero")
+    assert rep["inputs_digest"] == sha256(text)
+
+
 def test_hspec_strata_center_witness(tmp_path, capsys):
     path = write(tmp_path, "use quantum_affine(n=2)\n")
     code, out = invoke(capsys, "hspec", path)

@@ -8,7 +8,10 @@ per-monomial recomputations; the verify, nf, weights and eigencheck digests
 were recorded while the DSL still expanded every product into words and
 reduced each word on its own.  The `qdet-verify` and `sl-check` digests and
 one error envelope per row of the CLI's error table were recorded before the
-subcommands moved into one command table.
+subcommands moved into one command table.  The two `verify --fuel` digests of
+the Euclidean space were recorded while diamond_check still built the
+reducer's pending items itself, before every engine entry point handed the
+reducer scalar-times-word seeds.
 """
 
 import hashlib
@@ -117,6 +120,10 @@ GOLDEN = {
     ('eu5', ('nf', 'x5*x3*x1 + (x2 - x4)^2')): (0, "ad88395bca786bcdb9d5fff97abcc52081eca77ad1fa146efc55e505f95fda1e"),
     ('eu5', ('weights', 'x5*x1 + x4*x2 - 3*x3^2')): (0, "ab0c0be5f9991c99bc9d142ba27407eeab65f9c3026cc2f8be5330499b0d60b4"),
     ('eu5', ('eigencheck', '(x5 + x1)*(x4 + x2)')): (0, "7c1e0ed454595679aac4b6c54ca25b06af9d8192e3dfb06b091b24011782b5e5"),
+    # every overlap runs out at fuel 1, and 5 of the 10 at fuel 5: these pin
+    # the sort by triple and each overlap's rewrite count
+    ('eu5', ('verify', '--fuel', '1')): (1, "030e5cdd0a3cd5ec64b73a54aa224c8267847ecbc3f3d98ad7bddf391c38be24"),
+    ('eu5', ('verify', '--fuel', '5')): (1, "4b297ab3b158b838c90f08466ec825283c32b8cd6c493292984c6fdb0b7d2f19"),
     ('m33', ('verify',)): (0, "74285fef4e5de1aa2fa533263b403944c51f1e357f26a3be6bf5e686a8f9b5fe"),
     ('m33', ('nf', 'X33*X22*X11 - (X13 + X31)^2')): (0, "2a22d6ea6837d3c6aad9c53efb4746a7bff78e3e795b35d8717efc5a85b5f47d"),
     ('m33', ('weights', 'X33*X11 - lam^-1*X22*(X21 + X12)')): (0, "0d9aaa82245141b05c119e195725142f9223718aedb49ee6339d566471a1102f"),

@@ -1,3 +1,4 @@
+import itertools
 import random
 import zlib
 
@@ -374,6 +375,41 @@ def test_fuel_boundary_is_the_leftmost_rewrite_count(family):
         if count > 1:
             with pytest.raises(FuelExhausted):
                 normal_form(p, letters, fuel=count - 1)
+
+
+OVERLAP_FAMILIES = {
+    "quantum_euclidean(5)": lambda: zoo.quantum_euclidean(5),
+    "quantum_matrices_generic(3, 3)": lambda: zoo.quantum_matrices_generic(3, 3),
+    "quantized_weyl_generic(2)": lambda: zoo.quantized_weyl_generic(2),
+    "quantum_symplectic(3)": lambda: zoo.quantum_symplectic(3),
+}
+
+
+def _tail_words(rule):
+    return [[(g, 1 if e > 0 else -1) for g, e in enumerate(exp) for _ in range(abs(e))]
+            for exp in rule.tail.terms]
+
+
+@pytest.mark.parametrize("family", sorted(OVERLAP_FAMILIES))
+def test_overlap_fuel_boundary_is_the_leftmost_rewrite_count(family):
+    # an overlap x_k x_j x_i costs the leftmost rewrites of the words both
+    # sides hold after their forced first rewrite; at each overlap's count and
+    # one below it, every overlap resolves exactly when its count fits
+    p = OVERLAP_FAMILIES[family]()
+    counts = {}
+    for i, j, k in itertools.combinations(range(p.ngens), 3):
+        xi, xj, xk = (i, 1), (j, 1), (k, 1)
+        words = [[xj, xk, xi], [xk, xi, xj]]
+        words += [t + [xi] for t in _tail_words(p.rules[(k, j)])]
+        words += [[xk] + t for t in _tail_words(p.rules[(j, i)])]
+        counts[(k, j, i)] = sum(oracles.leftmost_rewrites(p, w) for w in words)
+    for fuel in sorted({f for c in counts.values() for f in (c, c - 1) if f > 0}):
+        reports = diamond_check(p, fuel=fuel)
+        assert [r.triple for r in reports] == sorted(counts)
+        for r in reports:
+            fits = counts[r.triple] <= fuel
+            assert (r.resolved, r.note) == ((True, "") if fits else (False, "fuel exhausted")), \
+                (r.triple, counts[r.triple], fuel)
 
 
 @pytest.mark.parametrize("n, power, terms", [(2, 3, 22), (3, 2, 55)])
