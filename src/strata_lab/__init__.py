@@ -12,6 +12,6 @@ from .pbw import (DEFAULT_FUEL, Element, EngineError, FuelExhausted,
                   NegativeExponent, OverlapReport, Presentation,
                   PresentationError, Rule, WordTooLong, diamond_check, gen,
                   hilbert_count, leading_term, monomial, multiply, normal_form,
-                  one, power)
+                  one)
 
 __version__ = "0.1.0"

@@ -18,13 +18,11 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__, dsl, qdet, strat, zoo
-from .coeff import CoeffError, SpecializationError, number_text
+from .coeff import CoeffError, SpecializationError, TooManyDigits, max_digits, number_text
 from .grading import is_homogeneous, scalar_normality_check, weight_of
 from .lattice import in_row_span
 from .pbw import (DEFAULT_FUEL, EngineError, NegativeExponent, PresentationError,
                   diamond_check, hilbert_count, order_key)
-
-VERSION = __version__
 
 
 class Command(NamedTuple):
@@ -46,6 +44,20 @@ class CliFailure(Exception):
         self.results = results or {}
 
 
+def _rational(text: str) -> Fraction:
+    """Fraction(text), or TooManyDigits when it is too long to print.  An exponent
+    past max_digits() by more than the mantissa's length is refused before Fraction
+    computes its power of ten; a zero mantissa is zero at any exponent."""
+    mantissa, e, exponent = text.lower().partition("e")
+    if e and max_digits() and abs(int(exponent)) > max_digits() + len(mantissa):
+        if Fraction(f"{mantissa}e{exponent[0]}0"):  # Fraction checks the syntax, exponent < 100
+            raise TooManyDigits()
+        return Fraction(0)
+    value = Fraction(text)
+    number_text(value)  # a value too long to print is refused, used or not
+    return value
+
+
 def _parse_specialize(arg: str | None) -> dict[str, Fraction] | None:
     if not arg:
         return None
@@ -55,7 +67,7 @@ def _parse_specialize(arg: str | None) -> dict[str, Fraction] | None:
             raise dsl.DslError(f"bad specialization {piece!r}; expected sym=rational")
         name, value = piece.split("=", 1)
         try:
-            out[name.strip()] = Fraction(value.strip())
+            out[name.strip()] = _rational(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise dsl.DslError(f"bad rational {value!r}") from exc
     return out
@@ -177,11 +189,9 @@ def _cmd_weights(args, p):
 
 
 def _cmd_eigencheck(args, p):
-    element = dsl.evaluate_expression(p, args.expr)
-    w = is_homogeneous(p, element)
-    return {"algebra": p.name, "expr": args.expr,
-            "homogeneous": w is not None,
-            "weight": list(w) if w is not None else None}
+    results = _cmd_weights(args, p)
+    del results["terms"]  # _envelope sorts keys, so the bytes are unchanged
+    return results
 
 
 def _cmd_normalcheck(args, p):
@@ -349,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _envelope(command: str, source: str, status: str, results) -> str:
     report = {
         "command": command,
-        "version": VERSION,
+        "version": __version__,
         "inputs_digest": hashlib.sha256(source.encode("utf-8")).hexdigest(),
         "status": status,
         "results": results,

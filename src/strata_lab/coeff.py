@@ -122,10 +122,6 @@ class UnitMonomial:
     def invert(self) -> "UnitMonomial":
         return UnitMonomial(self.sign, tuple(map(neg, self.exponents)))
 
-    def __mul__(self, other: "UnitMonomial") -> "UnitMonomial":
-        return UnitMonomial(self.sign * other.sign,
-                            tuple(map(add, self.exponents, other.exponents)))
-
     def power(self, k: int) -> "UnitMonomial":
         sign = self.sign if k % 2 else 1
         return UnitMonomial(sign, tuple(e * k for e in self.exponents))

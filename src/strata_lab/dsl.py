@@ -368,12 +368,16 @@ def _parse_presentation(stream: _Stream) -> Presentation:
     stream.skip_newlines()
 
     params: list[str] = []
-    if stream.peek().kind == "NAME" and stream.peek().value == "params":
+    head = stream.peek()
+    if head.kind == "NAME" and head.value == "params":
         stream.next()
         while not stream.at_line_end():
             params.append(stream.expect("NAME").value)
         stream.skip_newlines()
-    context = ParamContext(params)
+    try:
+        context = ParamContext(params)
+    except ValueError as exc:  # a repeated name, or one outside [A-Za-z_][A-Za-z0-9_]*
+        raise DslError(str(exc), head.line, head.col) from exc
 
     gens: list[str] = []
     invertible = False
@@ -487,8 +491,6 @@ def print_presentation(p: Presentation) -> str:
         gline = "generators " + " ".join(p.generators)
         if all(p.invertible):
             gline += " invertible"
-        elif any(p.invertible):
-            raise ValueError("mixed generator kinds are not printable")
         lines.append(gline)
     if p.ngens >= 2:
         lines.append("rules")

@@ -178,10 +178,8 @@ def rank(A):
 def kernel_basis(A):
     """Z-basis of the right kernel {v : A*v = 0}, canonicalized by HNF rows."""
     rows, cols = _shape(A)
-    if cols == 0:
+    if cols == 0:  # also when rows == 0: a list of no rows has no columns
         return []
-    if rows == 0:
-        return [tuple(1 if j == i else 0 for j in range(cols)) for i in range(cols)]
     H, U = hnf(transpose(A))
     vecs = [U[i] for i in range(cols) if not any(H[i])]
     if not vecs:

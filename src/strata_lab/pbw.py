@@ -129,9 +129,6 @@ class Element:
             return Element()
         return Element({e: v * c for e, v in self.terms.items()})
 
-    def support(self):
-        return self.terms.keys()
-
     def __repr__(self) -> str:
         return f"Element({len(self.terms)} terms)"
 
@@ -159,12 +156,8 @@ class Presentation:
         if len(set(gens)) != len(gens):
             raise PresentationError("duplicate generator names")
         n = len(gens)
-        if isinstance(invertible, bool):
-            inv = (invertible,) * n
-        else:
-            inv = tuple(bool(b) for b in invertible)
-            if len(inv) != n:
-                raise PresentationError("invertible flags do not match generators")
+        if not isinstance(invertible, bool):
+            raise PresentationError("generators are all polynomial or all invertible")
         if weights is None:
             weights = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
         wts = tuple(tuple(int(x) for x in w) for w in weights)
@@ -186,7 +179,7 @@ class Presentation:
         for (j, i), rule in rules.items():
             if len(rule.swap.exponents) != width:
                 raise PresentationError(f"swap for pair ({j},{i}) has wrong width")
-            if rule.tail and (inv[i] or inv[j]):
+            if rule.tail and invertible:
                 raise PresentationError(
                     f"pair ({j},{i}) touches an invertible generator but has a tail")
             for exp, c in rule.tail.terms.items():
@@ -195,14 +188,14 @@ class Presentation:
                 if c.context != context:
                     raise ContextMismatch("tail coefficient over a different context")
                 for t, e in enumerate(exp):
-                    if e < 0 and not inv[t]:
+                    if e < 0:  # an invertible generator's pairs have no tail
                         raise PresentationError(
                             f"tail of pair ({j},{i}) uses a negative power of {gens[t]}")
 
         self.name = name
         self.context = context
         self.generators = gens
-        self.invertible = inv
+        self.invertible = (invertible,) * n
         self.rules = dict(rules)
         self.weights = wts
         self.rank = rank
@@ -377,18 +370,12 @@ def _multiply_out(p: Presentation, bases: list, finished: dict) -> Element:
     return res
 
 
-def normal_form(p: Presentation, word, scalar: Coefficient | None = None,
-                fuel: int | None = None) -> Element:
+def normal_form(p: Presentation, word, fuel: int | None = None) -> Element:
     """Reduce a word (list of (generator, exponent) pairs) to its normal form."""
     letters = _letters(p, [(p.gen_index(g) if isinstance(g, str) else int(g), int(e))
                            for g, e in word])
-    if scalar is None:
-        scalar = Coefficient.one(p.context)
-    elif scalar.context != p.context:
-        raise ContextMismatch("scalar over a different context")
     budget = Fuel(p.fuel if fuel is None else fuel)
-    # a zero scalar is dropped unrewritten
-    return _reduce(p, [(scalar, letters)] if scalar else [], budget)
+    return _reduce(p, [(Coefficient.one(p.context), letters)], budget)
 
 
 def product(p: Presentation, a: Element, b: Element, fuel: Fuel) -> Element:
@@ -409,17 +396,6 @@ def multiply(p: Presentation, a: Element, b: Element,
              fuel: int | None = None) -> Element:
     """Product of two normal-form elements, again in normal form."""
     return product(p, a, b, Fuel(p.fuel if fuel is None else fuel))
-
-
-def power(p: Presentation, a: Element, k: int, fuel: int | None = None) -> Element:
-    """a^k, multiplied left to right under one budget."""
-    if k < 0:
-        raise ValueError("negative powers of general elements are not defined")
-    budget = Fuel(p.fuel if fuel is None else fuel)
-    res = one(p)
-    for _ in range(k):
-        res = product(p, res, a, budget)
-    return res
 
 
 # -- element constructors ----------------------------------------------------

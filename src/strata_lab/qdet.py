@@ -84,21 +84,16 @@ class DetNormalityReport:
         return all(r.ok for r in self.identities)
 
 
-def verify_det_normality(n: int, lam: Coefficient, p: AntisymmetricMatrixSpec,
-                         scalar_override=None) -> DetNormalityReport:
-    """Engine check that D * X_ij - mu_ij * X_ij * D vanishes for all i, j.
-
-    scalar_override, when given, replaces the computed scalar (used by
-    regression tests to confirm that wrong scalars are caught).
-    """
+def verify_det_normality(n: int, lam: Coefficient,
+                         p: AntisymmetricMatrixSpec) -> DetNormalityReport:
+    """Engine check that D * X_ij - mu_ij * X_ij * D vanishes for all i, j."""
     pres = quantum_matrices(n, n, lam, p)
     det = quantum_determinant(n, lam, p)
     identities = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             xij = gen(pres, f"X{i}{j}")
-            mu = (scalar_override(i, j) if scalar_override is not None
-                  else det_commutation_scalar(n, lam, p, i, j))
+            mu = det_commutation_scalar(n, lam, p, i, j)
             diff = multiply(pres, det, xij) - multiply(pres, xij, det).scale(mu)
             identities.append(NormalityIdentity(i, j, not diff))
     return DetNormalityReport(n, identities)

@@ -176,7 +176,6 @@ def quantum_matrices(m: int, n: int, lam: Coefficient,
 
     ngens = m * n
     gens = [f"X{i + 1}{j + 1}" for i in range(m) for j in range(n)]
-    one = Coefficient.one(ctx)
     rules = {}
     for g2 in range(ngens):
         for g1 in range(g2):

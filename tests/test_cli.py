@@ -369,6 +369,19 @@ def test_normalcheck_rejects_zero_as_usage_error(tmp_path, capsys, expr):
     assert rep["inputs_digest"] == sha256(text)
 
 
+@pytest.mark.parametrize("params,message", [
+    ("q q", "duplicate parameter names"),
+    ("\u03be", "bad parameter name '\u03be'"),  # the tokenizer reads any letter
+], ids=["repeated", "not ascii"])
+def test_bad_parameter_names_are_usage_errors(tmp_path, capsys, params, message):
+    text = f"algebra a\nparams {params}\ngenerators x1\n"
+    code, out = invoke(capsys, "verify", write(tmp_path, text))
+    rep = report_of(out)
+    assert code == 2 and rep["status"] == "error"
+    assert rep["results"]["message"] == f"line 2, col 1: {message}"
+    assert rep["inputs_digest"] == sha256(text)
+
+
 def test_hspec_strata_center_witness(tmp_path, capsys):
     path = write(tmp_path, "use quantum_affine(n=2)\n")
     code, out = invoke(capsys, "hspec", path)
@@ -575,6 +588,29 @@ def test_coefficients_too_long_to_print_fail(tmp_path, capsys, digit_limit, argv
                                          "the limit for printing an integer")
 
 
+@pytest.mark.parametrize("value,status", [
+    ("1e4299", "ok"), ("0.001e4302", "ok"),  # 4300 digits: printable
+    ("1e4300", "fail"), ("1_0e4_300", "fail"), ("1e-4300", "fail"),
+], ids=["1e4299", "0.001e4302", "1e4300", "underscores", "1e-4300"])
+def test_specialize_values_too_long_to_print_fail(tmp_path, capsys, digit_limit,
+                                                  value, status):
+    path = write(tmp_path, "use quantum_affine(n=2)\n")
+    code, out = invoke(capsys, "nf", path, "q_1_2*x1", "--specialize", f"q_1_2={value}")
+    rep = report_of(out)
+    assert (code, rep["status"]) == ((0, "ok") if status == "ok" else (1, "fail"))
+    if status == "ok":
+        assert rep["results"]["terms"][0]["value"] == "1" + "0" * 4299
+
+
+def test_specialize_value_of_an_unused_symbol_is_checked(tmp_path, capsys, digit_limit):
+    path = write(tmp_path, "use quantum_affine(n=2)\n")
+    code, out = invoke(capsys, "nf", path, "x1", "--specialize", "q_1_2=2,r=1e4400")
+    rep = report_of(out)
+    assert (code, rep["status"]) == (1, "fail")
+    assert rep["results"]["message"] == ("coefficient has more than 4300 digits, "
+                                         "the limit for printing an integer")
+
+
 def test_specialize_literal_too_long_is_a_usage_error(tmp_path, capsys, digit_limit):
     path = write(tmp_path, "use quantum_affine(n=2)\n")
     code, out = invoke(capsys, "nf", path, "x1", "--specialize", f"q_1_2={LONG}")
@@ -721,3 +757,27 @@ def test_large_scalar_powers_finish(tmp_path, argv, status):
     else:
         assert rep["results"]["message"] == ("coefficient has more than 4300 digits, "
                                              "the limit for printing an integer")
+
+
+# Fraction("1e100000000") builds ten to that power: unchecked, `nf` took 12 s
+# at 1e10000000 and ran past 25 s at 1e100000000 (Python 3.11.7).  The exponent
+# is refused before Fraction runs, and a zero mantissa is zero, which
+# specialize rejects as a usage error.
+@pytest.mark.parametrize("value,code", [
+    ("1e100000000", 1), ("-1e100000000", 1), ("1e-100000000", 1), ("0e100000000", 2),
+])
+@pytest.mark.parametrize("argv,symbol", [
+    (["nf", "-", "q_1_2*x1"], "q_1_2"),
+    (["qdet", "--n", "2"], "lam"),
+], ids=["nf", "qdet"])
+def test_specialize_exponents_finish(argv, symbol, value, code):
+    env = {**fresh_process_env(), "PYTHONINTMAXSTRDIGITS": "4300"}
+    out = subprocess.run([sys.executable, "-m", "strata_lab.cli", *argv,
+                          "--specialize", f"{symbol}={value},p_2_1=2"],
+                         input="use quantum_affine(n=2)\n", capture_output=True, text=True,
+                         env=env, timeout=10, preexec_fn=_capped)
+    rep = report_of(out.stdout)
+    assert (out.returncode, rep["status"]) == (code, "fail" if code == 1 else "error")
+    assert rep["results"]["message"] == (
+        "coefficient has more than 4300 digits, the limit for printing an integer"
+        if code == 1 else f"symbol {symbol!r} assigned zero; symbols are invertible")

@@ -30,7 +30,7 @@ def test_weight_examples(qa3):
 def test_determinant_is_homogeneous(m2):
     lam, p = zoo.generic_matrix_data(2)
     det = quantum_determinant(2, lam, p)
-    assert set(det.support()) == {(1, 0, 0, 1), (0, 1, 1, 0)}
+    assert set(det.terms) == {(1, 0, 0, 1), (0, 1, 1, 0)}
     assert is_homogeneous(m2, det) == (1, 1, 1, 1)
 
 

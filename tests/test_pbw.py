@@ -11,7 +11,7 @@ from strata_lab.pbw import (Element, Fuel, FuelExhausted, NegativeExponent,
                             Presentation, PresentationError, Rule, WordTooLong,
                             diamond_check, gen, hilbert_count, leading_term,
                             monomial, multiply, normal_form, one, order_key,
-                            power, product)
+                            product)
 
 import oracles
 
@@ -76,7 +76,7 @@ def test_normal_form_idempotent(m2):
         e = normal_form(m2, word)
         again = Element()
         for exp, c in e.terms.items():
-            again = again + normal_form(m2, list(enumerate(exp)), scalar=c)
+            again = again + normal_form(m2, list(enumerate(exp))).scale(c)
         assert again == e
 
 
@@ -212,7 +212,6 @@ def test_nonpositive_fuel_is_rejected(plane, m2, fuel):
     calls = [
         lambda: normal_form(m2, [("X22", 1), ("X11", 1)], fuel=fuel),
         lambda: multiply(m2, x, x, fuel=fuel),
-        lambda: power(m2, x, 2, fuel=fuel),
         lambda: diamond_check(m2, fuel=fuel),
         lambda: diamond_check(plane, fuel=fuel),  # no overlap to resolve
         lambda: m2.with_fuel(fuel),
@@ -229,10 +228,14 @@ def test_per_call_fuel_is_the_budget(plane, m2):
     assert normal_form(m2, word, fuel=None) == normal_form(m2, word)
     # (x1+x2)^2 takes one rewrite, and multiplying it by x1+x2 three more
     a = gen(plane, "x1") + gen(plane, "x2")
-    a2 = power(plane, a, 2, fuel=1)
-    assert multiply(plane, a2, a, fuel=3) == power(plane, a, 3)
-    with pytest.raises(FuelExhausted):
-        power(plane, a, 3, fuel=3)  # both products draw on one budget
+    a2 = multiply(plane, a, a, fuel=1)
+    a3 = multiply(plane, a2, a, fuel=3)
+    budget = Fuel(4)
+    assert product(plane, product(plane, a, a, budget), a, budget) == a3
+    assert budget.left == 0
+    budget = Fuel(3)
+    with pytest.raises(FuelExhausted):  # both products draw on one budget
+        product(plane, product(plane, a, a, budget), a, budget)
 
 
 def test_negative_exponent_rejected(plane):
@@ -288,7 +291,7 @@ def test_torus_words_with_inverses():
     a = monomial(t, (2, -1))
     b = monomial(t, (-2, 1))
     prod = multiply(t, a, b)
-    assert len(prod) == 1 and next(iter(prod.support())) == (0, 0)
+    assert len(prod) == 1 and next(iter(prod.terms)) == (0, 0)
 
 
 def test_presentation_validation():
@@ -299,6 +302,12 @@ def test_presentation_validation():
     rules = {(1, 0): Rule(UnitMonomial(1, (0,)), Element({(1, 1): Coefficient.one(ctx)}))}
     with pytest.raises(PresentationError):
         Presentation(ctx, ["x1", "x2"], rules, invertible=True)  # tail on invertible pair
+
+
+def test_generators_are_all_polynomial_or_all_invertible(plane):
+    for flags in [(True, False), (True, True), [False, False], 1]:
+        with pytest.raises(PresentationError, match="all polynomial or all invertible"):
+            Presentation(plane.context, plane.generators, plane.rules, invertible=flags)
 
 
 def test_reduction_is_strategy_independent():

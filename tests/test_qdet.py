@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from strata_lab import zoo
+from strata_lab import qdet, zoo
 from strata_lab.coeff import Coefficient, ParamContext
 from strata_lab.grading import is_homogeneous
 from strata_lab.pbw import gen, multiply
@@ -92,16 +92,17 @@ def test_det_normality_n2_and_n3():
         assert len(report.identities) == n * n
 
 
-def test_det_normality_catches_corrupted_scalar():
+def test_det_normality_catches_corrupted_scalar(monkeypatch):
     lam, p = zoo.generic_matrix_data(2)
 
-    def drop_lambda(i, j):
+    def drop_lambda(n, lam, p, i, j):
         c = Coefficient.one(p.context)
         for l in range(1, 3):
             c = c * p.entry(j - 1, l - 1) * p.entry(l - 1, i - 1)
         return c
 
-    report = verify_det_normality(2, lam, p, scalar_override=drop_lambda)
+    monkeypatch.setattr(qdet, "det_commutation_scalar", drop_lambda)
+    report = verify_det_normality(2, lam, p)
     failed = {(r.i, r.j) for r in report.identities if not r.ok}
     assert (1, 2) in failed
     assert not report.passed

@@ -185,7 +185,7 @@ def test_every_rule_is_weight_homogeneous():
             lhs[i] += 1
             lhs[j] += 1
             w = weight_of(p, lhs)
-            for exp in rule.tail.support():
+            for exp in rule.tail.terms:
                 assert weight_of(p, exp) == w, (p.name, (j, i))
 
 
