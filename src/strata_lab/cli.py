@@ -314,10 +314,14 @@ def _nonnegative(text: str) -> int:
     return value
 
 
-def _positive(text: str) -> int:
+def _matrix_size(text: str) -> int:
+    """--n of the matrix commands, bounded as `use quantum_matrices(m=n, n=n)` is."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    if value * value > dsl.MAX_ZOO_SIZE:
+        raise argparse.ArgumentTypeError(
+            f"n*n must be at most {dsl.MAX_ZOO_SIZE}, got n = {value}")
     return value
 
 
@@ -339,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                   "(default: STRATA_LAB_FUEL, else 10^6)")
             cmd.add_argument("file", help="presentation file, or - for stdin")
         else:
-            cmd.add_argument("--n", type=_positive, required=True)
+            cmd.add_argument("--n", type=_matrix_size, required=True)
             cmd.add_argument("--single-param", action="store_true")
     for name in ("nf", "weights", "eigencheck", "normalcheck"):
         cmds[name].add_argument("expr")

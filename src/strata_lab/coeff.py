@@ -122,10 +122,6 @@ class UnitMonomial:
     def invert(self) -> "UnitMonomial":
         return UnitMonomial(self.sign, tuple(map(neg, self.exponents)))
 
-    def power(self, k: int) -> "UnitMonomial":
-        sign = self.sign if k % 2 else 1
-        return UnitMonomial(sign, tuple(e * k for e in self.exponents))
-
     def to_coefficient(self, context: ParamContext) -> "Coefficient":
         if len(self.exponents) != len(context):
             raise ContextMismatch("unit monomial width does not match context")

@@ -67,6 +67,7 @@ def tokenize(text: str) -> list[Token]:
         if ch == "#":
             while i < n and text[i] != "\n":
                 i += 1
+                col += 1
             continue
         if ch == "\n":
             toks.append(Token("NEWLINE", "\n", line, col))

@@ -178,11 +178,11 @@ def rank(A):
 def kernel_basis(A):
     """Z-basis of the right kernel {v : A*v = 0}, canonicalized by HNF rows."""
     rows, cols = _shape(A)
-    if cols == 0:  # also when rows == 0: a list of no rows has no columns
-        return []
     H, U = hnf(transpose(A))
     vecs = [U[i] for i in range(cols) if not any(H[i])]
     if not vecs:
+        # no rank check here: its hnf(A) builds a rows x rows transform, 147 x 147
+        # on the full torus of generic n = 7, hundreds of times the kernel's cost
         return []
     K, _ = hnf(vecs)
     basis = [tuple(row) for row in K if any(row)]
@@ -197,8 +197,6 @@ def kernel_basis(A):
 def in_row_span(basis, v):
     """Whether v lies in the integer row span of the given vectors."""
     vec = list(v)
-    if not basis:
-        return not any(vec)
     H, _ = hnf([list(b) for b in basis])
     for row in H:
         if not any(row):

@@ -236,13 +236,10 @@ def graded_simplicity_shadow(torus: Presentation) -> bool:
     """Distinct monomials carry distinct weights, so every weight space is
     one-dimensional and every nonzero homogeneous element is a unit.
 
-    Structurally: the transpose of the generator weight matrix must have a
-    trivial integer kernel.
+    Structurally: the generator weights must be linearly independent, that
+    is, the weight matrix has rank equal to the number of generators.
     """
-    if torus.ngens == 0:
-        return True
-    weight_rows = [list(w) for w in torus.weights]
-    return lattice.kernel_basis(lattice.transpose(weight_rows)) == []
+    return lattice.rank([list(w) for w in torus.weights]) == torus.ngens
 
 
 @dataclass

@@ -69,23 +69,14 @@ class AntisymmetricMatrixSpec:
         Symbols are named by the distinguished half: q_i_j with i < j for the
         upper convention, p_j_i with j > i for the lower one.
         """
-        names = list(extra_symbols)
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                names.append(f"{prefix}_{i}_{j}" if not below_diagonal
-                             else f"{prefix}_{j}_{i}")
-        ctx = ParamContext(names)
-        one = Coefficient.one(ctx)
-        rows = [[one] * n for _ in range(n)]
-        k = len(tuple(extra_symbols))
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                name = ctx.symbols[k]
-                k += 1
-                power = 1 if not below_diagonal else -1
-                rows[i - 1][j - 1] = Coefficient.symbol(ctx, name, power)
-                rows[j - 1][i - 1] = Coefficient.symbol(ctx, name, -power)
-        return AntisymmetricMatrixSpec(ctx, rows)
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        names = [f"{prefix}_{j}_{i}" if below_diagonal else f"{prefix}_{i}_{j}"
+                 for i, j in pairs]
+        ctx = ParamContext([*extra_symbols, *names])
+        power = -1 if below_diagonal else 1
+        return AntisymmetricMatrixSpec.from_upper(
+            ctx, n, {pair: Coefficient.symbol(ctx, name, power)
+                     for pair, name in zip(pairs, names)})
 
     @staticmethod
     def from_upper(context: ParamContext, n: int, upper) -> "AntisymmetricMatrixSpec":
@@ -108,6 +99,12 @@ class AntisymmetricMatrixSpec:
             ctx, n, {(i, j): upper for i in range(1, n + 1) for j in range(i + 1, n + 1)})
 
 
+def _vector(length: int, *entries) -> tuple[int, ...]:
+    """Integer vector of the given length, zero except at its (index, value) entries."""
+    values = dict(entries)
+    return tuple(values.get(k, 0) for k in range(length))
+
+
 # -- quantum affine spaces and tori ------------------------------------------
 
 
@@ -119,8 +116,7 @@ def _affine_like(spec: AntisymmetricMatrixSpec, invertible: bool, name: str) -> 
             # x_j x_i = q_{ji} x_i x_j with q_{ji} the below-diagonal entry
             rules[(j, i)] = Rule(spec.entry(j, i).as_unit())
     gens = [f"x{i + 1}" for i in range(n)]
-    return Presentation(spec.context, gens, rules, invertible=invertible,
-                        rank=n, name=name)
+    return Presentation(spec.context, gens, rules, invertible=invertible, name=name)
 
 
 def quantum_affine(spec: AntisymmetricMatrixSpec) -> Presentation:
@@ -183,10 +179,8 @@ def quantum_matrices(m: int, n: int, lam: Coefficient,
             i, j = divmod(g1, n)
             if l > i and mm > j:
                 swap = (p.entry(l, i) * p.entry(j, mm)).as_unit()
-                texp = [0] * ngens
-                texp[i * n + mm] += 1
-                texp[l * n + j] += 1
-                tail = Element({tuple(texp): (lam - 1) * p.entry(l, i)})
+                texp = _vector(ngens, (i * n + mm, 1), (l * n + j, 1))
+                tail = Element({texp: (lam - 1) * p.entry(l, i)})
                 rules[(g2, g1)] = Rule(swap, tail)
             elif l > i:
                 swap = (lam * p.entry(l, i) * p.entry(j, mm)).as_unit()
@@ -194,13 +188,7 @@ def quantum_matrices(m: int, n: int, lam: Coefficient,
             else:
                 # same row, mm > j
                 rules[(g2, g1)] = Rule(p.entry(j, mm).as_unit())
-    weights = []
-    for i in range(m):
-        for j in range(n):
-            w = [0] * (m + n)
-            w[i] = 1
-            w[m + j] = 1
-            weights.append(tuple(w))
+    weights = [_vector(m + n, (i, 1), (m + j, 1)) for i in range(m) for j in range(n)]
     return Presentation(ctx, gens, rules, weights, rank=m + n,
                         name=f"quantum_matrices_{m}x{n}")
 
@@ -263,12 +251,9 @@ def quantized_weyl(q_params, gamma: AntisymmetricMatrixSpec) -> Presentation:
     rules = {}
     for a in range(1, n + 1):
         # the Weyl pair: x_a y_a = 1 + q_a y_a x_a + sum_{l<a} (q_l - 1) y_l x_l
-        tail_terms = {(0,) * ngens: one}
+        tail_terms = {_vector(ngens): one}
         for l in range(1, a):
-            texp = [0] * ngens
-            texp[y(l)] = 1
-            texp[x(l)] = 1
-            tail_terms[tuple(texp)] = qs[l - 1] - 1
+            tail_terms[_vector(ngens, (y(l), 1), (x(l), 1))] = qs[l - 1] - 1
         rules[(x(a), y(a))] = Rule(qs[a - 1].as_unit(), Element(tail_terms))
         for b in range(1, a):
             # y_a y_b = gamma_ab y_b y_a
@@ -281,15 +266,8 @@ def quantized_weyl(q_params, gamma: AntisymmetricMatrixSpec) -> Presentation:
             # y_a x_b = gamma_ba x_b y_a
             rules[(y(a), x(b))] = Rule(gamma.entry(b - 1, a - 1).as_unit())
 
-    weights = []
-    for a in range(1, n + 1):
-        wy = [0] * n
-        wy[a - 1] = -1
-        wx = [0] * n
-        wx[a - 1] = 1
-        weights.extend([tuple(wy), tuple(wx)])
-    return Presentation(ctx, gens, rules, weights, rank=n,
-                        name=f"quantized_weyl_{n}")
+    weights = [w for a in range(n) for w in (_vector(n, (a, -1)), _vector(n, (a, 1)))]
+    return Presentation(ctx, gens, rules, weights, name=f"quantized_weyl_{n}")
 
 
 def quantized_weyl_generic(n: int) -> Presentation:
@@ -307,7 +285,6 @@ def quantum_symplectic(n: int) -> Presentation:
     if n < 0:
         raise ZooError("need n >= 0")
     ctx = ParamContext(["q"])
-    q = Coefficient.symbol(ctx, "q")
     ngens = 2 * n
 
     def prime(a):  # 1-based pairing
@@ -320,26 +297,17 @@ def quantum_symplectic(n: int) -> Presentation:
                 # x_a x_{a'} = q^2 x_{a'} x_a + (q^2 - 1) sum_{l<a} q^{l-a} x_l x_{l'}
                 tail_terms = {}
                 for l in range(1, a):
-                    texp = [0] * ngens
-                    texp[l - 1] = 1
-                    texp[prime(l) - 1] = 1
-                    tail_terms[tuple(texp)] = (Coefficient.symbol(ctx, "q", -2) - 1) \
+                    texp = _vector(ngens, (l - 1, 1), (prime(l) - 1, 1))
+                    tail_terms[texp] = (Coefficient.symbol(ctx, "q", -2) - 1) \
                         * Coefficient.symbol(ctx, "q", l - a)
-                rules[(b - 1, a - 1)] = Rule(q.invert_unit().as_unit().power(2),
+                rules[(b - 1, a - 1)] = Rule(Coefficient.symbol(ctx, "q", -2).as_unit(),
                                              Element(tail_terms))
             else:
-                rules[(b - 1, a - 1)] = Rule(q.invert_unit().as_unit())
-    weights = []
-    for g in range(1, ngens + 1):
-        w = [0] * n
-        if g <= n:
-            w[g - 1] = 1
-        else:
-            w[prime(g) - 1] = -1
-        weights.append(tuple(w))
+                rules[(b - 1, a - 1)] = Rule(Coefficient.symbol(ctx, "q", -1).as_unit())
+    weights = [_vector(n, (g - 1, 1)) for g in range(1, n + 1)]
+    weights += [_vector(n, (prime(g) - 1, -1)) for g in range(n + 1, ngens + 1)]
     gens = [f"x{g}" for g in range(1, ngens + 1)]
-    return Presentation(ctx, gens, rules, weights, rank=n,
-                        name=f"quantum_symplectic_{n}")
+    return Presentation(ctx, gens, rules, weights, name=f"quantum_symplectic_{n}")
 
 
 def quantum_euclidean(n: int) -> Presentation:
@@ -371,30 +339,18 @@ def quantum_euclidean(n: int) -> Presentation:
                 #              (+ (1 - q) q^{m-a-1/2} x_{m+1}^2 for odd n)
                 tail_terms = {}
                 for l in range(a + 1, m + 1):
-                    texp = [0] * n
-                    texp[l - 1] = 1
-                    texp[prime(l) - 1] = 1
-                    tail_terms[tuple(texp)] = -(1 - qpow(2)) * qpow(l - a - 2)
+                    tail_terms[_vector(n, (l - 1, 1), (prime(l) - 1, 1))] = \
+                        -(1 - qpow(2)) * qpow(l - a - 2)
                 if odd:
-                    texp = [0] * n
-                    texp[m] = 2
-                    tail_terms[tuple(texp)] = -(1 - qpow(1)) * half(2 * (m - a) - 1)
+                    tail_terms[_vector(n, (m, 2))] = -(1 - qpow(1)) * half(2 * (m - a) - 1)
                 rules[(b - 1, a - 1)] = Rule(qpow(0).as_unit(), Element(tail_terms))
             else:
                 rules[(b - 1, a - 1)] = Rule(qpow(-1).as_unit())
-    weights = []
-    for g in range(1, n + 1):
-        w = [0] * m
-        if g <= m:
-            w[g - 1] = 1
-        elif odd and g == m + 1:
-            pass
-        else:
-            w[prime(g) - 1] = -1
-        weights.append(tuple(w))
+    weights = [_vector(m, (g - 1, 1)) for g in range(1, m + 1)]
+    weights += [_vector(m)] * (n - 2 * m)  # the middle generator of odd n has weight 0
+    weights += [_vector(m, (prime(g) - 1, -1)) for g in range(n - m + 1, n + 1)]
     gens = [f"x{g}" for g in range(1, n + 1)]
-    return Presentation(ctx, gens, rules, weights, rank=m,
-                        name=f"quantum_euclidean_{n}")
+    return Presentation(ctx, gens, rules, weights, name=f"quantum_euclidean_{n}")
 
 
 # -- the family table --------------------------------------------------------

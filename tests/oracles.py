@@ -4,8 +4,8 @@ import itertools
 import random
 from math import comb
 
-from strata_lab.coeff import Coefficient
-from strata_lab.pbw import Element, Presentation, monomial
+from strata_lab.coeff import Coefficient, ParamContext
+from strata_lab.pbw import Element, Presentation, Rule, monomial
 
 
 def commutative_count(ngens: int, degree: int) -> int:
@@ -139,6 +139,78 @@ def leftmost_rewrites(p: Presentation, letters) -> int:
                     tl.extend([(i, 1 if ev > 0 else -1)] * abs(ev))
                 stack.append(head + tuple(tl) + rest)
     return count
+
+
+def normal_forms_every_order(p: Presentation, word) -> list[Element]:
+    """Every normal form a word of polynomial generators reaches when its
+    rewrites run in every possible order.
+
+    A state is a combination of words.  A step picks any word of the state
+    and any descending adjacent pair in it, and replaces the pair by its
+    rule, swap and tail, as written; the search stops at states whose words
+    are all ordered.  It shares no code with the engine's reducer or with the
+    two fixed-strategy references above, so agreement is evidence.
+    """
+    ctx = p.context
+
+    def key(state):
+        return frozenset(state.items())
+
+    def add(state, w, c):
+        total = state[w] + c if w in state else c
+        if total:
+            state[w] = total
+        else:
+            state.pop(w, None)
+
+    start = {tuple(word): Coefficient.one(ctx)}
+    seen = {key(start)}
+    stack = [start]
+    forms = {}
+    while stack:
+        state = stack.pop()
+        steps = [(w, t) for w in state for t in range(len(w) - 1) if w[t] > w[t + 1]]
+        if not steps:
+            forms[key(state)] = Element(
+                {tuple(w.count(g) for g in range(p.ngens)): c for w, c in state.items()})
+        for w, t in steps:
+            rule = p.rules[(w[t], w[t + 1])]
+            head, rest = w[:t], w[t + 2:]
+            nxt = dict(state)
+            c = nxt.pop(w)
+            add(nxt, head + (w[t + 1], w[t]) + rest, c * rule.swap.to_coefficient(ctx))
+            for texp, tc in rule.tail.terms.items():
+                letters = tuple(g for g, e in enumerate(texp) for _ in range(e))
+                add(nxt, head + letters + rest, c * tc)
+            if key(nxt) not in seen:
+                seen.add(key(nxt))
+                stack.append(nxt)
+    return list(forms.values())
+
+
+def random_tailed_presentation(rng: random.Random) -> Presentation:
+    """3-4 polynomial generators over 1-2 symbols with random unit swaps of
+    either sign; about half of the pairs get a tail of 1-2 terms of degree at
+    most 1 with small integer Laurent coefficients, so every rewrite lowers
+    (degree, inversions) and every rewriting order terminates."""
+    ngens = rng.randint(3, 4)
+    ctx = ParamContext([f"t{s}" for s in range(rng.randint(1, 2))])
+
+    def laurent(coeffs):
+        return Coefficient.monomial(ctx, rng.choice(coeffs),
+                                    tuple(rng.randint(-1, 1) for _ in range(len(ctx))))
+
+    rules = {}
+    for j in range(ngens):
+        for i in range(j):
+            tail = []
+            if rng.random() < 0.5:
+                for _ in range(rng.randint(1, 2)):
+                    g = rng.randrange(-1, ngens)  # -1: the constant term
+                    exp = tuple(1 if h == g else 0 for h in range(ngens))
+                    tail.append((exp, laurent([-2, -1, 1, 2])))
+            rules[(j, i)] = Rule(laurent([-1, 1]).as_unit(), Element(tail))
+    return Presentation(ctx, [f"x{g + 1}" for g in range(ngens)], rules)
 
 
 def random_expression(p: Presentation, rng: random.Random, depth: int = 4):

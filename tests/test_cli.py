@@ -5,12 +5,13 @@ import os
 import random
 import subprocess
 import sys
+import time
 import zlib
 from pathlib import Path
 
 import pytest
 
-from strata_lab import cli, zoo
+from strata_lab import cli, dsl, zoo
 from strata_lab.cli import run
 from strata_lab.coeff import Coefficient
 from strata_lab.dsl import DslError, evaluate_expression, parse, print_presentation
@@ -84,6 +85,7 @@ def test_parse_zoo_call():
      "line 1, col 29: quantum_matrices sizes multiply to 40, above the limit 32"),
     ("use quantum_matrices(m=0, n=1000)",
      "line 1, col 29: quantum_matrices sizes multiply to 1000, above the limit 32"),
+    ("use quantum_affine(n=2 # size", "line 1, col 30: expected ',', found '\\n'"),
 ])
 def test_rejected_zoo_calls(tmp_path, capsys, source, message):
     code, out = invoke(capsys, "verify", write(tmp_path, source + "\n"))
@@ -338,6 +340,18 @@ def test_matrix_size_below_one_is_a_usage_error(capsys, command, n):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--n: must be positive" in captured.err
+
+
+@pytest.mark.parametrize("command", ["qdet", "qdet-verify", "sl-check"])
+@pytest.mark.parametrize("n", ["6", str(10 ** 6)])
+def test_matrix_size_above_the_zoo_bound_is_a_usage_error(capsys, command, n):
+    # the bound of `use quantum_matrices(m=n, n=n)`: n*n <= dsl.MAX_ZOO_SIZE
+    start = time.perf_counter()
+    assert run([command, "--n", n]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--n: n*n must be at most {dsl.MAX_ZOO_SIZE}, got n = {n}" in captured.err
 
 
 def test_weights_and_eigencheck(tmp_path, capsys):

@@ -103,6 +103,9 @@ def test_snf_transforms_stay_small():
 
 def test_kernel_full_rank_is_empty():
     assert kernel_basis([[0, 1], [-1, 0]]) == []
+    # no columns: the only vector is the empty one, and it spans nothing
+    assert kernel_basis([]) == []
+    assert kernel_basis([[], []]) == []
 
 
 def test_kernel_of_zero_map_is_standard_basis():

@@ -193,6 +193,29 @@ def test_diamond_check_catches_corrupted_swap():
     assert any(not r.resolved for r in diamond_check(broken))
 
 
+def test_diamond_check_agrees_with_rewriting_in_every_order():
+    # an overlap resolves exactly when its word x_k x_j x_i reaches one normal
+    # form under every rewriting order, and an unresolved overlap's
+    # discrepancy is the difference of two of the forms it reaches
+    seed = 71
+    print(f"seed {seed}")
+    rng = random.Random(seed)
+    tailed_confluent = nonconfluent = 0
+    for _ in range(300):
+        p = oracles.random_tailed_presentation(rng)
+        reports = diamond_check(p)
+        for r in reports:
+            forms = oracles.normal_forms_every_order(p, r.triple)
+            assert r.resolved == (len(forms) == 1), (p.rules, r.triple)
+            if not r.resolved:
+                assert any(r.discrepancy == a - b for a in forms for b in forms if a != b)
+        if all(r.resolved for r in reports):
+            tailed_confluent += any(rule.tail for rule in p.rules.values())
+        else:
+            nonconfluent += 1
+    assert tailed_confluent and nonconfluent
+
+
 def test_fuel_exhaustion():
     m2 = zoo.quantum_matrices_generic(2, 2).with_fuel(1)
     with pytest.raises(FuelExhausted):

@@ -183,6 +183,10 @@ def test_weight_spaces_of_torus_are_one_dimensional(qa2):
     collapsed = Presentation(degenerate.context, degenerate.generators,
                              degenerate.rules, [(1,), (1,)], invertible=True)
     assert not graded_simplicity_shadow(collapsed)
+    # a rank-0 grading puts every monomial of a nonempty torus at weight ()
+    flat = Presentation(ParamContext([]), ['x1'], {}, [()], invertible=True)
+    assert not graded_simplicity_shadow(flat)
+    assert graded_simplicity_shadow(zoo.quantum_torus_generic(0))
 
 
 def test_witness_smallest_index_and_mu(qa2):
