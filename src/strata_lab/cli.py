@@ -307,8 +307,16 @@ _OUTCOMES = (
 _REPORTED = tuple(t for types, _, _ in _OUTCOMES for t in types)
 
 
+def _integer(text: str) -> int:
+    # argparse would name the failing type= function in its message
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
 def _nonnegative(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
     return value
@@ -316,7 +324,7 @@ def _nonnegative(text: str) -> int:
 
 def _matrix_size(text: str) -> int:
     """--n of the matrix commands, bounded as `use quantum_matrices(m=n, n=n)` is."""
-    value = int(text)
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     if value * value > dsl.MAX_ZOO_SIZE:

@@ -142,7 +142,7 @@ class Coefficient:
         width = len(context)
         clean: dict[tuple[int, ...], int] = {}
         if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
+            items = terms.items() if isinstance(terms, dict) else terms
             for exp, c in items:
                 if not c:
                     continue

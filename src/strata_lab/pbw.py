@@ -70,7 +70,7 @@ class Element:
     def __init__(self, terms=None):
         clean: dict[tuple[int, ...], Coefficient] = {}
         if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
+            items = terms.items() if isinstance(terms, dict) else terms
             for exp, c in items:
                 if not c:
                     continue

@@ -210,20 +210,13 @@ def commutation_exponent_matrix(torus: Presentation) -> list[list[int]]:
     scalar q_ij with x_i x_j = q_ij x_j x_i.
     """
     check_genericity(torus)
-    n = torus.ngens
-    width = len(torus.context)
+    n, rules = torus.ngens, torus.rules
+    zero = (0,) * len(torus.context)
     rows = []
     for i in range(n):
-        for t in range(width):
-            row = []
-            for j in range(n):
-                if i == j:
-                    row.append(0)
-                elif i > j:
-                    row.append(torus.rules[(i, j)].swap.exponents[t])
-                else:
-                    row.append(-torus.rules[(j, i)].swap.exponents[t])
-            rows.append(row)
+        q = [rules[(i, j)].swap.exponents if i > j else zero if i == j
+             else [-e for e in rules[(j, i)].swap.exponents] for j in range(n)]
+        rows.extend(map(list, zip(*q)))
     return rows
 
 

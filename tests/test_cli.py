@@ -354,6 +354,20 @@ def test_matrix_size_above_the_zoo_bound_is_a_usage_error(capsys, command, n):
     assert f"--n: n*n must be at most {dsl.MAX_ZOO_SIZE}, got n = {n}" in captured.err
 
 
+@pytest.mark.parametrize("argv,option,text", [
+    (["qdet", "--n", "abc"], "--n", "abc"),
+    (["hilbert", "FILE", "--degree", "x"], "--degree", "x"),
+    (["strata", "FILE", "--box", "2.5"], "--box", "2.5"),
+])
+def test_non_integer_option_names_the_bad_text(tmp_path, capsys, argv, option, text):
+    path = write(tmp_path, "use quantum_affine(n=2)\n")
+    assert run([path if a == "FILE" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: expected an integer, got '{text}'" in captured.err
+    assert "_matrix_size" not in captured.err and "_nonnegative" not in captured.err
+
+
 def test_weights_and_eigencheck(tmp_path, capsys):
     path = write(tmp_path, "use quantum_affine(n=3)\n")
     code, out = invoke(capsys, "weights", path, "x1*x3")

@@ -1,7 +1,6 @@
 import random
 
-from strata_lab.lattice import (det, hnf, in_row_span, kernel_basis, matmul,
-                                rank, snf)
+from strata_lab.lattice import det, hnf, in_row_span, kernel_basis, matmul, rank
 
 import oracles
 
@@ -55,50 +54,6 @@ def test_hnf_randomized():
         assert matmul(U, A) == H
         assert det(U) in (1, -1)
         assert is_hermite(H)
-
-
-def test_snf_gcd_lcm_identity():
-    U, S, V = snf([[6, 0], [0, 4]])
-    assert [S[0][0], S[1][1]] == [2, 12]
-
-
-def test_snf_identity():
-    I = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    _, S, _ = snf(I)
-    assert S == I
-
-
-def test_snf_antisymmetric_2x2_unimodular():
-    _, S, _ = snf([[0, 1], [-1, 0]])
-    assert S == [[1, 0], [0, 1]]
-
-
-def test_snf_randomized():
-    rng = random.Random(29)
-    for _ in range(100):
-        A = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-        U, S, V = snf(A)
-        assert matmul(matmul(U, A), V) == S
-        assert det(U) in (1, -1) and det(V) in (1, -1)
-        k = min(len(S), len(S[0]))
-        diag = [S[i][i] for i in range(k)]
-        for i in range(len(S)):
-            for j in range(len(S[0])):
-                if i != j:
-                    assert S[i][j] == 0
-        for a, b in zip(diag, diag[1:]):
-            if b:
-                assert a and b % a == 0
-
-
-def test_snf_transforms_stay_small():
-    # an elimination that never reduces modulo its pivots gives U and V
-    # entries of 72 digits here
-    A = [[-8, -9, -8, 0, 8], [2, -3, 4, 4, 0], [3, 3, 3, -8, 4], [-5, -5, -9, 1, -3],
-         [6, -8, 6, -6, 6]]
-    U, S, V = snf(A)
-    assert [S[k][k] for k in range(5)] == [1, 1, 1, 2, 860]
-    assert all(abs(x) < 10 ** 9 for M in (U, V) for row in M for x in row)
 
 
 def test_kernel_full_rank_is_empty():
