@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .coeff import Coefficient
 from .pbw import Element, Presentation, gen, multiply, order_key
@@ -38,11 +38,11 @@ def is_homogeneous(p: Presentation, a: Element) -> tuple[int, ...] | None:
     return None
 
 
-def homogeneous_components(p: Presentation, a: Element) -> dict[tuple[int, ...], Element]:
-    out: dict[tuple[int, ...], dict] = {}
-    for exp, c in a.terms.items():
-        out.setdefault(weight_of(p, exp), {})[exp] = c
-    return {w: Element(terms) for w, terms in out.items()}
+def commutation_products(p: Presentation, c: Element) -> Iterator[tuple[Element, Element]]:
+    """(c*x_g, x_g*c) for each generator g in order, each pair computed when consumed."""
+    for g in range(p.ngens):
+        xg = gen(p, g)
+        yield multiply(p, c, xg), multiply(p, xg, c)
 
 
 @dataclass
@@ -56,13 +56,8 @@ class NormalityCertificate:
         """Exact re-check of every defining identity."""
         if len(self.mus) != p.ngens:
             return False
-        for g in range(p.ngens):
-            xg = gen(p, g)
-            left = multiply(p, self.element, xg)
-            right = multiply(p, xg, self.element)
-            if left - right.scale(self.mus[g]):
-                return False
-        return True
+        return all(not left - right.scale(mu) for (left, right), mu
+                   in zip(commutation_products(p, self.element), self.mus))
 
 
 def scalar_normality_check(p: Presentation, c: Element) -> NormalityCertificate | None:
@@ -77,10 +72,7 @@ def scalar_normality_check(p: Presentation, c: Element) -> NormalityCertificate 
     if not c:
         raise ValueError("zero element")
     mus = []
-    for g in range(p.ngens):
-        xg = gen(p, g)
-        left = multiply(p, c, xg)
-        right = multiply(p, xg, c)
+    for left, right in commutation_products(p, c):
         if not left and not right:
             mus.append(Coefficient.one(p.context))
             continue

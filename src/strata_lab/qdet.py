@@ -4,20 +4,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
 
 from .coeff import Coefficient
-from .pbw import Element, gen, multiply
+from .grading import commutation_products
+from .pbw import Element
 from .zoo import AntisymmetricMatrixSpec, quantum_matrices
-
-
-def inversions(perm: Sequence[int]) -> int:
-    """Number of descents ell(pi) = #{i < j : pi(i) > pi(j)}."""
-    vals = tuple(perm)
-    if sorted(vals) != list(range(min(vals), min(vals) + len(vals))):
-        raise ValueError("not a permutation")
-    return sum(1 for i in range(len(vals)) for j in range(i + 1, len(vals))
-               if vals[i] > vals[j])
 
 
 @dataclass(frozen=True)
@@ -56,15 +47,20 @@ def quantum_determinant(n: int, lam: Coefficient, p: AntisymmetricMatrixSpec) ->
     return Element(terms)
 
 
+def _row_value(n: int, lam: Coefficient, p: AntisymmetricMatrixSpec, i: int) -> Coefficient:
+    """v_i = lam^i prod_l p_il (1-based); mu_ij = v_j / v_i, as p_li = 1 / p_il."""
+    c = lam ** i
+    for l in range(1, n + 1):
+        c = c * p.entry(i - 1, l - 1)
+    return c
+
+
 def det_commutation_scalar(n: int, lam: Coefficient, p: AntisymmetricMatrixSpec,
                            i: int, j: int) -> Coefficient:
-    """The scalar mu with D * X_ij = mu * X_ij * D (1-based i, j)."""
+    """The scalar mu = lam^(j-i) prod_l p_jl p_li with D * X_ij = mu * X_ij * D."""
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("indices out of range")
-    c = lam ** (j - i)
-    for l in range(1, n + 1):
-        c = c * p.entry(j - 1, l - 1) * p.entry(l - 1, i - 1)
-    return c
+    return _row_value(n, lam, p, j) * _row_value(n, lam, p, i).invert_unit()
 
 
 @dataclass
@@ -90,12 +86,11 @@ def verify_det_normality(n: int, lam: Coefficient,
     pres = quantum_matrices(n, n, lam, p)
     det = quantum_determinant(n, lam, p)
     identities = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            xij = gen(pres, f"X{i}{j}")
-            mu = det_commutation_scalar(n, lam, p, i, j)
-            diff = multiply(pres, det, xij) - multiply(pres, xij, det).scale(mu)
-            identities.append(NormalityIdentity(i, j, not diff))
+    # quantum_matrices orders the generators X_ij row-major
+    for g, (left, right) in enumerate(commutation_products(pres, det)):
+        i, j = divmod(g, n)
+        mu = det_commutation_scalar(n, lam, p, i + 1, j + 1)
+        identities.append(NormalityIdentity(i + 1, j + 1, not left - right.scale(mu)))
     return DetNormalityReport(n, identities)
 
 
@@ -105,13 +100,8 @@ def sl_condition(n: int, lam: Coefficient, p: AntisymmetricMatrixSpec) -> bool:
 
 
 def sl_common_value(n: int, lam: Coefficient, p: AntisymmetricMatrixSpec) -> Coefficient | None:
-    """The common value of lam^i * prod_l p_il over i, or None if they differ."""
-    values = []
-    for i in range(1, n + 1):
-        c = lam ** i
-        for l in range(1, n + 1):
-            c = c * p.entry(i - 1, l - 1)
-        values.append(c)
+    """The common value of the v_i over i, or None: D is central iff every v_j / v_i is 1."""
+    values = [_row_value(n, lam, p, i) for i in range(1, n + 1)]
     if all(v == values[0] for v in values[1:]):
         return values[0]
     return None

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import lattice
-from .grading import NormalityCertificate, scalar_normality_check
+from .grading import NormalityCertificate, commutation_products, scalar_normality_check
 from .pbw import Element, Presentation, Rule, gen, monomial, multiply
 
 
@@ -63,10 +63,6 @@ class MonomialIdeal:
             if not any(_divides(h, g) for h in reduced):
                 reduced.append(g)
         return MonomialIdeal(width, tuple(sorted(reduced)))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.generators
 
     @property
     def is_whole_ring(self) -> bool:
@@ -221,8 +217,7 @@ def commutation_exponent_matrix(torus: Presentation) -> list[list[int]]:
 
 
 def is_central(torus: Presentation, e: Element) -> bool:
-    return all(multiply(torus, e, gen(torus, i)) == multiply(torus, gen(torus, i), e)
-               for i in range(torus.ngens))
+    return all(left == right for left, right in commutation_products(torus, e))
 
 
 def graded_simplicity_shadow(torus: Presentation) -> bool:
@@ -241,11 +236,9 @@ class StratumReport:
 
     hprime: HPrime
     torus: Presentation
-    ore_set_generator_product: Element
     exponent_matrix: list[list[int]]
     center_rank: int
     center_basis: list[tuple[int, ...]]
-    coefficient_field_note: str = "base field (generic parameters)"
 
     @property
     def torus_size(self) -> int:
@@ -257,15 +250,13 @@ def stratum_report(p: Presentation, w: HPrime) -> StratumReport:
     graded_simplicity_shadow holds, as quotient_presentation checks the weights."""
     torus = stratum_torus(p, w)
     size = torus.ngens
-    # The distinct generators in ascending order already form an ordered monomial.
-    product = monomial(torus, (1,) * size)
     mat = commutation_exponent_matrix(torus)
     basis = lattice.kernel_basis(mat) if mat else \
         [tuple(1 if j == i else 0 for j in range(size)) for i in range(size)]
     for v in basis:
         if not is_central(torus, monomial(torus, v)):
             raise AssertionError("kernel vector is not central in the torus")
-    return StratumReport(w, torus, product, mat, len(basis), [tuple(v) for v in basis])
+    return StratumReport(w, torus, mat, len(basis), [tuple(v) for v in basis])
 
 
 def brute_force_central_monomials(torus: Presentation, box: int) -> list[tuple[int, ...]]:
@@ -413,12 +404,3 @@ def stratification_axioms_check(p: Presentation) -> StratificationReport:
             if (j.bit_count() <= d) != (not lies_in):
                 open_ok = False
     return StratificationReport(witnesses, closure_ok, open_ok)
-
-
-def central_multiplier_check(torus: Presentation, f: Element, h: Element) -> bool:
-    """Multiplying by a nonzero central f must not change centrality of h."""
-    if not f:
-        raise ValueError("f must be nonzero")
-    if not is_central(torus, f):
-        raise ValueError("f must be central")
-    return is_central(torus, multiply(torus, f, h)) == is_central(torus, h)

@@ -21,6 +21,14 @@ def brute_inversions(perm) -> int:
                if vals[i] > vals[j])
 
 
+def det_commutation_scalar(n: int, lam: Coefficient, p, i: int, j: int) -> Coefficient:
+    """The scalar mu_ij = lam^(j-i) prod_l p_jl p_li with D * X_ij = mu_ij * X_ij * D."""
+    c = lam ** (j - i)
+    for l in range(1, n + 1):
+        c = c * p.entry(j - 1, l - 1) * p.entry(l - 1, i - 1)
+    return c
+
+
 def random_coefficient(ctx, rng: random.Random, max_terms: int = 4,
                        exp_range: int = 2) -> Coefficient:
     terms = {}

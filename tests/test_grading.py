@@ -4,11 +4,11 @@ import pytest
 
 from strata_lab import zoo
 from strata_lab.coeff import Coefficient
-from strata_lab.grading import (NormalityCertificate, homogeneous_components,
-                                is_homogeneous, scalar_normality_check,
-                                weight_of)
+from strata_lab.grading import (NormalityCertificate, is_homogeneous,
+                                scalar_normality_check, weight_of)
 from strata_lab.pbw import Element, gen, monomial, multiply, one
-from strata_lab.qdet import quantum_determinant
+from strata_lab.qdet import quantum_determinant, verify_det_normality
+from strata_lab.strat import is_central
 
 
 @pytest.fixture(scope="module")
@@ -37,25 +37,6 @@ def test_determinant_is_homogeneous(m2):
 def test_inhomogeneous_sum(qa3):
     assert is_homogeneous(qa3, gen(qa3, 0) + gen(qa3, 1)) is None
     assert is_homogeneous(qa3, monomial(qa3, (2, 1, 0))) == (2, 1, 0)
-
-
-def test_homogeneous_components(qa3):
-    a = monomial(qa3, (1, 0, 0)) + monomial(qa3, (1, 1, 0))
-    comps = homogeneous_components(qa3, a)
-    assert set(comps) == {(1, 0, 0), (1, 1, 0)}
-    total = Element()
-    for part in comps.values():
-        total = total + part
-    assert total == a
-    assert homogeneous_components(qa3, Element()) == {}
-
-
-def test_same_monomial_coefficients_merge(qa3):
-    lam_free = Coefficient.symbol(qa3.context, "q_1_2")  # any symbol works here
-    a = monomial(qa3, (1, 0, 0), lam_free - 1) + monomial(qa3, (1, 0, 0))
-    comps = homogeneous_components(qa3, a)
-    assert set(comps) == {(1, 0, 0)}
-    assert comps[(1, 0, 0)] == monomial(qa3, (1, 0, 0), lam_free)
 
 
 def test_monomial_normality_formula(qa3):
@@ -130,8 +111,24 @@ def test_zero_element_rejected(qa3):
         scalar_normality_check(qa3, Element())
 
 
-def test_normality_check_multiplies_each_generator_once_per_side(m2, monkeypatch):
+# Each law, run on the central single-parameter 2x2 determinant so that none
+# stops early; verify_det_normality builds the same presentation and det itself.
+LAW_CHECKS = {
+    "scalar_normality_check": lambda pres, c: scalar_normality_check(pres, c) is not None,
+    "NormalityCertificate.verify": lambda pres, c: NormalityCertificate(
+        c, (Coefficient.one(pres.context),) * pres.ngens).verify(pres),
+    "is_central": is_central,
+    "verify_det_normality": lambda pres, c: verify_det_normality(
+        2, *zoo.single_param_matrix_data(2)).passed,
+}
+
+
+def test_normality_check_multiplies_each_generator_once_per_side(monkeypatch):
     import strata_lab.grading as grading
+    lam, p = zoo.single_param_matrix_data(2)
+    pres = zoo.quantum_matrices(2, 2, lam, p)
+    c = quantum_determinant(2, lam, p)
+    gens = [gen(pres, i) for i in range(pres.ngens)]
     sides = []
 
     def recording_multiply(p, a, b, fuel=None):
@@ -139,8 +136,7 @@ def test_normality_check_multiplies_each_generator_once_per_side(m2, monkeypatch
         return multiply(p, a, b, fuel)
 
     monkeypatch.setattr(grading, "multiply", recording_multiply)
-    c = gen(m2, "X12")
-    cert = scalar_normality_check(m2, c)
-    gens = [gen(m2, i) for i in range(m2.ngens)]
-    assert sides == [pair for g in gens for pair in ((c, g), (g, c))]
-    assert cert is not None and cert.verify(m2)
+    for law, check in LAW_CHECKS.items():
+        sides.clear()
+        assert check(pres, c), law
+        assert sides == [pair for g in gens for pair in ((c, g), (g, c))], law

@@ -1,6 +1,9 @@
 import random
 
-from strata_lab.lattice import det, hnf, in_row_span, kernel_basis, matmul, rank
+import pytest
+
+from strata_lab.lattice import (_check_hermite, det, hnf, in_row_span, kernel_basis,
+                                matmul, rank)
 
 import oracles
 
@@ -54,6 +57,21 @@ def test_hnf_randomized():
         assert matmul(U, A) == H
         assert det(U) in (1, -1)
         assert is_hermite(H)
+
+
+def test_hermite_check_rejects_every_broken_condition():
+    # hnf's U*A == H and unimodularity checks pass whatever row order H has;
+    # only this check certifies that a kernel read off the zero rows is whole
+    for H in ([[0, 1], [1, 0]],     # pivot columns fall
+              [[1, 0], [1, 1]],     # two pivots in one column
+              [[0, 0], [1, 0]],     # zero row first
+              [[-1, 0], [0, 1]],    # negative pivot
+              [[1, 2], [0, 2]],     # entry above a pivot not below it
+              [[1, -1], [0, 2]]):   # entry above a pivot negative
+        with pytest.raises(AssertionError, match="Hermite form"):
+            _check_hermite(H, 2)
+    _check_hermite([[1, 1], [0, 2], [0, 0]], 2)
+    _check_hermite([], 0)
 
 
 def test_kernel_full_rank_is_empty():

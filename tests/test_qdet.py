@@ -1,33 +1,15 @@
 import itertools
 import random
 
-import pytest
-
 from strata_lab import qdet, zoo
 from strata_lab.coeff import Coefficient, ParamContext
 from strata_lab.grading import is_homogeneous
 from strata_lab.pbw import gen, multiply
-from strata_lab.qdet import (det_commutation_scalar, inversions, perm_terms,
+from strata_lab.qdet import (det_commutation_scalar, perm_terms,
                              quantum_determinant, sl_common_value,
                              sl_condition, verify_det_normality)
 
 import oracles
-
-
-def test_inversions_examples():
-    assert inversions((1, 2, 3)) == 0
-    assert inversions((2, 1)) == 1
-    assert inversions((4, 3, 2, 1)) == 6
-
-
-def test_inversions_against_brute_force():
-    for perm in itertools.permutations(range(1, 5)):
-        assert inversions(perm) == oracles.brute_inversions(perm)
-
-
-def test_inversions_rejects_non_permutations():
-    with pytest.raises(ValueError):
-        inversions((1, 1, 2))
 
 
 def test_determinant_n1():
@@ -56,14 +38,14 @@ def test_determinant_single_param_matches_length_formula():
         det = quantum_determinant(n, lam, p)
         assert len(det) == len(list(itertools.permutations(range(n))))
         for t in perm_terms(n, p):
-            assert t.coefficient == (-q) ** inversions(t.perm)
+            assert t.coefficient == (-q) ** oracles.brute_inversions(t.perm)
 
 
 def test_perm_term_sign_is_length_parity():
     lam, p = zoo.generic_matrix_data(3)
     for t in perm_terms(3, p):
         unit = t.coefficient.as_unit()
-        assert unit.sign == (-1) ** inversions(t.perm)
+        assert unit.sign == (-1) ** oracles.brute_inversions(t.perm)
 
 
 def test_commutation_scalar_telescopes_at_origin():
@@ -143,9 +125,11 @@ def test_sl_condition_generic_multiparameter_false():
 
 
 def test_centrality_iff_scalars_one_on_specializations():
-    # random unit-monomial parameter data over two symbols, both directions
+    # random unit-monomial parameter data over two symbols, plus the generic
+    # and single-parameter data; each scalar matches its defining formula
     rng = random.Random(42)
     ctx = ParamContext(["a", "b"])
+    cases = []
     for _ in range(40):
         n = rng.choice([2, 3])
         lam = Coefficient.monomial(ctx, rng.choice([1, -1]),
@@ -156,12 +140,17 @@ def test_centrality_iff_scalars_one_on_specializations():
                 upper[(i, j)] = Coefficient.monomial(
                     ctx, rng.choice([1, -1]),
                     (rng.randint(-2, 2), rng.randint(-2, 2)))
-        p = zoo.AntisymmetricMatrixSpec.from_upper(ctx, n, upper)
-        central = sl_condition(n, lam, p)
-        scalars_one = all(
-            det_commutation_scalar(n, lam, p, i, j) == Coefficient.one(ctx)
-            for i in range(1, n + 1) for j in range(1, n + 1))
-        assert central == scalars_one
+        cases.append((n, lam, zoo.AntisymmetricMatrixSpec.from_upper(ctx, n, upper)))
+    for n in range(1, 6):
+        cases.append((n, *zoo.generic_matrix_data(n)))
+        cases.append((n, *zoo.single_param_matrix_data(n)))
+    for n, lam, p in cases:
+        scalars = [det_commutation_scalar(n, lam, p, i, j)
+                   for i in range(1, n + 1) for j in range(1, n + 1)]
+        assert scalars == [oracles.det_commutation_scalar(n, lam, p, i, j)
+                           for i in range(1, n + 1) for j in range(1, n + 1)]
+        one = Coefficient.one(p.context)
+        assert sl_condition(n, lam, p) == all(mu == one for mu in scalars)
 
 
 def test_single_param_determinant_is_central_via_engine():
