@@ -380,20 +380,25 @@ def _parse_presentation(stream: _Stream) -> Presentation:
     except ValueError as exc:  # a repeated name, or one outside [A-Za-z_][A-Za-z0-9_]*
         raise DslError(str(exc), head.line, head.col) from exc
 
-    gens: list[str] = []
+    gen_toks: list[Token] = []
     invertible = False
     if stream.peek().kind == "NAME" and stream.peek().value == "generators":
         stream.next()
         while not stream.at_line_end():
-            gens.append(stream.expect("NAME").value)
-        if gens and gens[-1] == "invertible":
-            gens.pop()
+            gen_toks.append(stream.expect("NAME"))
+        if gen_toks and gen_toks[-1].value == "invertible":
+            gen_toks.pop()
             invertible = True
         stream.skip_newlines()
-    for g in gens:
-        if g in _SECTIONS or g in context:
-            raise DslError(f"generator name {g!r} clashes with a keyword or parameter")
-    gen_index = {g: i for i, g in enumerate(gens)}
+    gen_index: dict[str, int] = {}
+    for t in gen_toks:
+        if t.value in _SECTIONS or t.value in context:
+            raise DslError(f"generator name {t.value!r} clashes with a keyword or parameter",
+                           t.line, t.col)
+        if t.value in gen_index:
+            raise DslError(f"duplicate generator name {t.value!r}", t.line, t.col)
+        gen_index[t.value] = len(gen_index)
+    gens = list(gen_index)
     n = len(gens)
 
     raw_rules: dict[tuple[int, int], tuple[Element, Token]] = {}

@@ -118,16 +118,12 @@ class Element:
         return self.__add__(other.__neg__())
 
     def scale(self, c) -> "Element":
-        """Multiply every coefficient by c (a Coefficient or int)."""
-        if isinstance(c, int):
-            if c == 0:
-                return Element()
-            res = Element.__new__(Element)
-            res.terms = {e: v * c for e, v in self.terms.items()}
-            return res
-        if not c:
-            return Element()
-        return Element({e: v * c for e, v in self.terms.items()})
+        """Multiply every coefficient by c (a Coefficient or int).  Laurent
+        polynomials over the integers have no zero divisors, so no product of
+        nonzero factors needs cleaning."""
+        res = Element.__new__(Element)
+        res.terms = {e: v * c for e, v in self.terms.items()} if c else {}
+        return res
 
     def __repr__(self) -> str:
         return f"Element({len(self.terms)} terms)"

@@ -8,42 +8,34 @@ from dataclasses import dataclass
 from .coeff import Coefficient
 from .grading import commutation_products
 from .pbw import Element
-from .zoo import AntisymmetricMatrixSpec, quantum_matrices
+from .zoo import AntisymmetricMatrixSpec, BadMatrix, quantum_matrices
 
 
-@dataclass(frozen=True)
-class PermTerm:
-    """One permutation summand of the determinant with its sign-carrying unit."""
-
-    perm: tuple[int, ...]          # 1-based images (pi(1), ..., pi(n))
-    coefficient: Coefficient
-
-
-def perm_terms(n: int, p: AntisymmetricMatrixSpec) -> list[PermTerm]:
-    """Coefficient prod(-p_{pi(i), pi(j)}) over the inversions of each permutation."""
-    out = []
-    for perm in itertools.permutations(range(1, n + 1)):
-        c = Coefficient.one(p.context)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    c = c * (-p.entry(perm[i] - 1, perm[j] - 1))
-        out.append(PermTerm(perm, c))
-    return out
+def _check_size(n: int, p: AntisymmetricMatrixSpec) -> None:
+    """The laws are about the n x n algebra of p: a smaller n reads a block of p."""
+    if n != p.n:
+        raise BadMatrix(f"parameter matrix must have size n = {n}")
 
 
 def quantum_determinant(n: int, lam: Coefficient, p: AntisymmetricMatrixSpec) -> Element:
-    """Signed permutation sum over the X_{1,pi(1)} ... X_{n,pi(n)} monomials.
+    """Signed permutation sum over the X_{1,pi(1)} ... X_{n,pi(n)} monomials,
+    each with coefficient prod(-p_{pi(i), pi(j)}) over the inversions of pi.
 
     Row indices ascend, so every summand is already an ordered monomial of the
     row-major n x n quantum matrix presentation.
     """
+    _check_size(n, p)
     terms = {}
-    for t in perm_terms(n, p):
+    for perm in itertools.permutations(range(n)):
+        c = Coefficient.one(p.context)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    c = c * (-p.entry(perm[i], perm[j]))
         exp = [0] * (n * n)
-        for row, col in enumerate(t.perm, start=1):
-            exp[(row - 1) * n + (col - 1)] += 1
-        terms[tuple(exp)] = t.coefficient
+        for row, col in enumerate(perm):
+            exp[row * n + col] = 1
+        terms[tuple(exp)] = c
     return Element(terms)
 
 
@@ -58,6 +50,7 @@ def _row_value(n: int, lam: Coefficient, p: AntisymmetricMatrixSpec, i: int) -> 
 def det_commutation_scalar(n: int, lam: Coefficient, p: AntisymmetricMatrixSpec,
                            i: int, j: int) -> Coefficient:
     """The scalar mu = lam^(j-i) prod_l p_jl p_li with D * X_ij = mu * X_ij * D."""
+    _check_size(n, p)
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("indices out of range")
     return _row_value(n, lam, p, j) * _row_value(n, lam, p, i).invert_unit()
@@ -101,6 +94,7 @@ def sl_condition(n: int, lam: Coefficient, p: AntisymmetricMatrixSpec) -> bool:
 
 def sl_common_value(n: int, lam: Coefficient, p: AntisymmetricMatrixSpec) -> Coefficient | None:
     """The common value of the v_i over i, or None: D is central iff every v_j / v_i is 1."""
+    _check_size(n, p)
     values = [_row_value(n, lam, p, i) for i in range(1, n + 1)]
     if all(v == values[0] for v in values[1:]):
         return values[0]

@@ -45,46 +45,6 @@ class HPrime:
         return set(self.members) <= set(other.members)
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
-    """Span of the monomials divisible by one of the generators (exponent tuples)."""
-
-    width: int
-    generators: tuple[tuple[int, ...], ...]
-
-    @staticmethod
-    def make(width: int, gens: Iterable[Sequence[int]]) -> "MonomialIdeal":
-        gens = [tuple(g) for g in gens]
-        for g in gens:
-            if len(g) != width or any(e < 0 for e in g):
-                raise ValueError("bad monomial generator")
-        reduced: list[tuple[int, ...]] = []
-        for g in sorted(gens, key=lambda g: (sum(g), g)):
-            if not any(_divides(h, g) for h in reduced):
-                reduced.append(g)
-        return MonomialIdeal(width, tuple(sorted(reduced)))
-
-    @property
-    def is_whole_ring(self) -> bool:
-        return any(not any(g) for g in self.generators)
-
-    def contains_monomial(self, exp: Sequence[int]) -> bool:
-        exp = tuple(exp)
-        return any(_divides(g, exp) for g in self.generators)
-
-    def contains_ideal(self, other: "MonomialIdeal") -> bool:
-        return all(self.contains_monomial(g) for g in other.generators)
-
-    def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        gens = [tuple(max(a, b) for a, b in zip(g, h))
-                for g in self.generators for h in other.generators]
-        return MonomialIdeal.make(self.width, gens)
-
-
-def _divides(a: Sequence[int], b: Sequence[int]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
 # -- structural checks ---------------------------------------------------------
 
 
@@ -146,16 +106,6 @@ def hspec_quantum_affine(p: Presentation) -> list[HPrime]:
 def _check_members(p: Presentation, w: HPrime) -> None:
     if any(not 1 <= i <= p.ngens for i in w.members):
         raise StratError("stable prime indexes generators that do not exist")
-
-
-def ideal_of(p: Presentation, w: HPrime) -> MonomialIdeal:
-    n = p.ngens
-    gens = []
-    for i in w.members:
-        exp = [0] * n
-        exp[i - 1] = 1
-        gens.append(tuple(exp))
-    return MonomialIdeal.make(n, gens)
 
 
 def poset_covers(primes: Sequence[HPrime]) -> list[tuple[HPrime, HPrime]]:
@@ -220,16 +170,6 @@ def is_central(torus: Presentation, e: Element) -> bool:
     return all(left == right for left, right in commutation_products(torus, e))
 
 
-def graded_simplicity_shadow(torus: Presentation) -> bool:
-    """Distinct monomials carry distinct weights, so every weight space is
-    one-dimensional and every nonzero homogeneous element is a unit.
-
-    Structurally: the generator weights must be linearly independent, that
-    is, the weight matrix has rank equal to the number of generators.
-    """
-    return lattice.rank([list(w) for w in torus.weights]) == torus.ngens
-
-
 @dataclass
 class StratumReport:
     """Stratum data for one stable prime of a quantum affine space."""
@@ -246,8 +186,7 @@ class StratumReport:
 
 
 def stratum_report(p: Presentation, w: HPrime) -> StratumReport:
-    """Quotient, localize, and compute the stratum center as a lattice kernel;
-    graded_simplicity_shadow holds, as quotient_presentation checks the weights."""
+    """Quotient, localize, and compute the stratum center as a lattice kernel."""
     torus = stratum_torus(p, w)
     size = torus.ngens
     mat = commutation_exponent_matrix(torus)
@@ -303,7 +242,7 @@ def normal_separation_witness(p: Presentation, small: HPrime, large: HPrime) -> 
 @dataclass
 class LocallyClosedWitness:
     hprime: HPrime
-    bigger: MonomialIdeal
+    bigger: tuple[tuple[int, ...], ...]   # sorted minimal generators, exponent tuples
     ok: bool
 
 
@@ -370,10 +309,7 @@ def stratification_axioms_check(p: Presentation) -> StratificationReport:
     squarefree monomial are the sets of their generators (bit i - 1 for x_i),
     divisibility is g & ~h == 0, an lcm is g | h, and an ideal is its list of
     minimal generators.  Containment is still computed from the generators,
-    never read off the poset order.  Each witness's `bigger` is turned back
-    into a MonomialIdeal of exponent tuples, so the report keeps the type that
-    callers and the definition oracle compare, and the bitmasks stay private
-    to this check.
+    never read off the poset order.
     """
     primes = hspec_quantum_affine(p)
     n = p.ngens
@@ -390,8 +326,8 @@ def stratification_axioms_check(p: Presentation) -> StratificationReport:
     for w, m in zip(primes, masks):
         bigger = meet(m | 1 << t for t in range(n) if not m >> t & 1)
         ok = _mask_contains(bigger, ideal[m]) and not _mask_contains(ideal[m], bigger)
-        witnesses.append(LocallyClosedWitness(w, MonomialIdeal.make(
-            n, [tuple(g >> t & 1 for t in range(n)) for g in bigger]), ok))
+        witnesses.append(LocallyClosedWitness(
+            w, tuple(sorted(tuple(g >> t & 1 for t in range(n)) for g in bigger)), ok))
 
     closure_ok = all(_mask_contains(ideal[k], ideal[j]) == (not j & ~k)
                      for j in masks for k in masks)

@@ -260,6 +260,32 @@ def random_expression(p: Presentation, rng: random.Random, depth: int = 4):
     return f"{a_text} - ({b_text})", a + [(-c, w) for c, w in b]
 
 
+# -- monomial ideals as exponent tuples -----------------------------------------
+
+
+def monomial_divides(a, b) -> bool:
+    """Whether the monomial with exponents a divides the one with exponents b."""
+    return all(x <= y for x, y in zip(a, b))
+
+
+def minimal_generators(gens) -> tuple[tuple[int, ...], ...]:
+    """The sorted generators of an ideal that no other generator divides."""
+    gens = {tuple(g) for g in gens}
+    return tuple(sorted(g for g in gens
+                        if not any(h != g and monomial_divides(h, g) for h in gens)))
+
+
+def ideal_meet(a, b) -> tuple[tuple[int, ...], ...]:
+    """Intersection of two monomial ideals: the minimal lcms (componentwise
+    maxima) of a generator of each."""
+    return minimal_generators(tuple(max(x, y) for x, y in zip(g, h)) for g in a for h in b)
+
+
+def ideal_contains(a, b) -> bool:
+    """Whether the ideal generated by a contains the one generated by b."""
+    return all(any(monomial_divides(g, h) for g in a) for h in b)
+
+
 # -- monomial-ideal primeness oracle ------------------------------------------
 
 
@@ -283,7 +309,7 @@ def is_prime_monomial_ideal(gens: list[tuple[int, ...]], n: int, test_degree: in
     stable primeness for monomial ideals; checked over a degree box.
     """
     def contains(exp):
-        return any(all(g <= e for g, e in zip(gv, exp)) for gv in gens)
+        return ideal_contains(gens, [exp])
 
     if contains((0,) * n):
         return False  # not proper
@@ -306,11 +332,7 @@ def stable_prime_monomial_ideals(n: int, gen_degree: int = 2,
     survivors = set()
     for r in range(len(pool) + 1):
         for gens in itertools.combinations(pool, r):
-            reduced = []
-            for g in sorted(gens, key=sum):
-                if not any(all(h <= e for h, e in zip(hv, g)) for hv in reduced):
-                    reduced.append(g)
-            key = tuple(sorted(reduced))
+            key = minimal_generators(gens)
             if key in survivors:
                 continue
             if is_prime_monomial_ideal(list(key), n, test_degree):
@@ -330,27 +352,28 @@ def covers_by_definition(primes):
 def locally_closed_by_definition(p: Presentation):
     """Checks (a) and (c) of the stratification axioms straight from their
     definitions: intersect over every strictly larger prime, and over every
-    prime taller than d.  Returns ({prime: (bigger ideal, locally closed)},
-    low-height unions open)."""
-    from strata_lab.strat import HPrime, MonomialIdeal, ideal_of
+    prime taller than d.  Returns ({prime: (minimal generators of the bigger
+    ideal, locally closed)}, low-height unions open)."""
+    from strata_lab.strat import HPrime
     n = p.ngens
     primes = [HPrime(m) for size in range(n + 1)
               for m in itertools.combinations(range(1, n + 1), size)]
-    ideals = {w: ideal_of(p, w) for w in primes}
+    ideals = {w: minimal_generators(tuple(int(t == i - 1) for t in range(n))
+                                    for i in w.members) for w in primes}
 
     def meet(ws):
-        out = MonomialIdeal.make(n, [(0,) * n])
+        out = ((0,) * n,)
         for w in ws:
-            out = out.intersect(ideals[w])
+            out = ideal_meet(out, ideals[w])
         return out
 
     closed = {}
     for j in primes:
         bigger = meet([k for k in primes if set(j.members) < set(k.members)])
-        closed[j] = (bigger, bigger.contains_ideal(ideals[j])
-                     and not ideals[j].contains_ideal(bigger))
+        closed[j] = (bigger, ideal_contains(bigger, ideals[j])
+                     and not ideal_contains(ideals[j], bigger))
     open_ok = all(
-        (len(j.members) <= d) == (not ideals[j].contains_ideal(
-            meet([k for k in primes if len(k.members) > d])))
+        (len(j.members) <= d) == (not ideal_contains(
+            ideals[j], meet([k for k in primes if len(k.members) > d])))
         for d in range(n + 1) for j in primes)
     return closed, open_ok

@@ -61,6 +61,9 @@ def test_parse_zoo_call():
     assert p.context.symbols == ("q_1_2",)
 
 
+_RULES = "algebra a\ngenerators x y\nrules\n"
+
+
 @pytest.mark.parametrize("source,message", [
     ("use quantum_sphere(n=2)", "line 1, col 5: unknown algebra family 'quantum_sphere'"),
     ("use quantum_matrices(m=2)", "line 1, col 5: quantum_matrices needs n=<int>"),
@@ -86,6 +89,25 @@ def test_parse_zoo_call():
     ("use quantum_matrices(m=0, n=1000)",
      "line 1, col 29: quantum_matrices sizes multiply to 1000, above the limit 32"),
     ("use quantum_affine(n=2 # size", "line 1, col 30: expected ',', found '\\n'"),
+    # explicit presentations: every error of the generators, rules and weights sections
+    ("algebra a\ngenerators x x", "line 2, col 14: duplicate generator name 'x'"),
+    ("algebra a\ngenerators x y x\nrules\ny * x = x * y",
+     "line 2, col 16: duplicate generator name 'x'"),
+    ("algebra a\nparams q\ngenerators x q",
+     "line 3, col 14: generator name 'q' clashes with a keyword or parameter"),
+    (_RULES + "y * x = 2^-1 * x * y", "line 4, col 9: cannot invert the integer 2"),
+    (_RULES + "y * x = (x + y)^-1", "line 4, col 9: cannot invert a parenthesized expression"),
+    (_RULES + "y * x = x * y y", "line 4, col 15: trailing input 'y'"),
+    (_RULES + "z * x = x * z", "line 4, col 1: rule over unknown generators 'z', 'x'"),
+    (_RULES + "x * y = y * x", "line 4, col 1: rules must rewrite a descending product"),
+    (_RULES + "y * x = x * y\ny * x = x * y", "line 5, col 1: duplicate rule for pair (y, x)"),
+    (_RULES + "y * x = x", "line 4, col 1: rule for (y, x) has no x*y term"),
+    (_RULES + "y * x = x * y\nweights\nz = (1)",
+     "line 6, col 1: weight for unknown generator 'z'"),
+    (_RULES + "y * x = x * y\nweights\nx = (1, 0)\nx = (1, 0)",
+     "line 7, col 1: duplicate weight for 'x'"),
+    (_RULES + "y * x = x * y\nweights\nx = (1, 0)", "missing weights for ['y']"),
+    (_RULES + "y * x = x * y\nweights\nx = (1, 0)\ny = (1)", "weight vectors of unequal rank"),
 ])
 def test_rejected_zoo_calls(tmp_path, capsys, source, message):
     code, out = invoke(capsys, "verify", write(tmp_path, source + "\n"))
@@ -296,6 +318,9 @@ def test_nf_terms(tmp_path, capsys):
     assert code == 0
     rep = report_of(out)
     assert rep["results"]["terms"] == [{"coeff": "q_1_2^-1", "monomial": [1, 1]}]
+    code, out = invoke(capsys, "nf", path, "x2*-x1")
+    assert code == 0
+    assert report_of(out)["results"]["terms"] == [{"coeff": "-q_1_2^-1", "monomial": [1, 1]}]
 
 
 def test_nf_specialize(tmp_path, capsys):

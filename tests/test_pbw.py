@@ -37,6 +37,14 @@ def test_quantum_plane_swap(plane):
     assert got == monomial(plane, (1, 1), q.invert_unit())
 
 
+def test_scale_by_integers_and_zero(plane):
+    x = normal_form(plane, [("x2", 1), ("x1", 1)]) + gen(plane, 0)
+    assert x.scale(-1) == -x
+    assert x.scale(0) == Element()
+    assert x.scale(3) == x + x + x
+    assert x.scale(Coefficient.zero(plane.context)) == Element()
+
+
 def test_weyl_pair_rule(weyl1):
     q1 = Coefficient.symbol(weyl1.context, "q_1")
     got = normal_form(weyl1, [("x1", 1), ("y1", 1)])

@@ -1,13 +1,14 @@
 import itertools
 import random
 
+import pytest
+
 from strata_lab import qdet, zoo
 from strata_lab.coeff import Coefficient, ParamContext
 from strata_lab.grading import is_homogeneous
 from strata_lab.pbw import gen, multiply
-from strata_lab.qdet import (det_commutation_scalar, perm_terms,
-                             quantum_determinant, sl_common_value,
-                             sl_condition, verify_det_normality)
+from strata_lab.qdet import (det_commutation_scalar, quantum_determinant,
+                             sl_common_value, sl_condition, verify_det_normality)
 
 import oracles
 
@@ -37,15 +38,32 @@ def test_determinant_single_param_matches_length_formula():
         q = Coefficient.symbol(p.context, "q")
         det = quantum_determinant(n, lam, p)
         assert len(det) == len(list(itertools.permutations(range(n))))
-        for t in perm_terms(n, p):
-            assert t.coefficient == (-q) ** oracles.brute_inversions(t.perm)
+        for exp, c in det.terms.items():
+            assert c == (-q) ** oracles.brute_inversions(permutation_of(n, exp))
 
 
 def test_perm_term_sign_is_length_parity():
     lam, p = zoo.generic_matrix_data(3)
-    for t in perm_terms(3, p):
-        unit = t.coefficient.as_unit()
-        assert unit.sign == (-1) ** oracles.brute_inversions(t.perm)
+    for exp, c in quantum_determinant(3, lam, p).terms.items():
+        assert c.as_unit().sign == (-1) ** oracles.brute_inversions(permutation_of(3, exp))
+
+
+def permutation_of(n, exp):
+    """pi with X_{1,pi(1)} ... X_{n,pi(n)} the row-major monomial exp."""
+    return tuple(exp[r * n:(r + 1) * n].index(1) + 1 for r in range(n))
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("law", [
+    quantum_determinant,
+    lambda n, lam, p: det_commutation_scalar(n, lam, p, 1, 2),
+    sl_condition,
+    sl_common_value,
+], ids=["quantum_determinant", "det_commutation_scalar", "sl_condition", "sl_common_value"])
+def test_size_must_match_the_parameter_matrix(law, n):
+    lam, p = zoo.generic_matrix_data(3)
+    with pytest.raises(zoo.BadMatrix, match=f"parameter matrix must have size n = {n}"):
+        law(n, lam, p)
 
 
 def test_commutation_scalar_telescopes_at_origin():
