@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from . import zoo
 from .coeff import Coefficient, NonUnitDivision, ParamContext, check_power_digits, max_digits
 from .pbw import (Element, Fuel, NegativeExponent, Presentation, PresentationError,
-                  Rule, format_element, product)
+                  Rule, WordTooLong, format_element, product)
 
 
 # Largest product of the size literals of a `use` line.  The generic families
@@ -445,11 +445,15 @@ def _parse_presentation(stream: _Stream) -> Presentation:
             raise DslError(f"swap coefficient {swap_coeff} is not a unit monomial",
                            tok.line, tok.col) from exc
         tail = Element({e: c for e, c in element.terms.items() if e != swap_exp})
+        if tail and invertible:
+            raise DslError(f"rule for ({gens[hi]}, {gens[lo]}) has a tail, but the "
+                           "generators are invertible", tok.line, tok.col)
         rules[(hi, lo)] = Rule(swap, tail)
     missing = [(j, i) for j in range(n) for i in range(j) if (j, i) not in rules]
     if missing:
         j, i = missing[0]
-        raise DslError(f"missing rule pair ({gens[j]}, {gens[i]})")
+        raise DslError(f"missing rule pair ({gens[j]}, {gens[i]})",
+                       gen_toks[j].line, gen_toks[j].col)
 
     weights = None
     if stream.peek().kind == "NAME" and stream.peek().value == "weights":
@@ -472,11 +476,15 @@ def _parse_presentation(stream: _Stream) -> Presentation:
             stream.expect("OP", ")")
             if gen_index[gtok.value] in wmap:
                 raise DslError(f"duplicate weight for {gtok.value!r}", gtok.line, gtok.col)
+            if wmap and len(vec) != rank:
+                raise DslError("weight vectors of unequal rank", gtok.line, gtok.col)
+            rank = len(vec)
             wmap[gen_index[gtok.value]] = tuple(vec)
             stream.skip_newlines()
-        missing_w = [gens[i] for i in range(n) if i not in wmap]
+        missing_w = [t for t in gen_toks if gen_index[t.value] not in wmap]
         if missing_w:
-            raise DslError(f"missing weights for {missing_w}")
+            raise DslError(f"missing weights for {[t.value for t in missing_w]}",
+                           missing_w[0].line, missing_w[0].col)
         weights = [wmap[i] for i in range(n)]
 
     stream.skip_newlines()
@@ -484,7 +492,7 @@ def _parse_presentation(stream: _Stream) -> Presentation:
     try:
         return Presentation(context, gens, rules, weights,
                             invertible=invertible, name=name)
-    except Exception as exc:
+    except WordTooLong as exc:  # a tail longer than the engine takes
         raise DslError(str(exc)) from exc
 
 

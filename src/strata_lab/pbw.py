@@ -183,10 +183,6 @@ class Presentation:
                     raise PresentationError(f"tail monomial width mismatch in pair ({j},{i})")
                 if c.context != context:
                     raise ContextMismatch("tail coefficient over a different context")
-                for t, e in enumerate(exp):
-                    if e < 0:  # an invertible generator's pairs have no tail
-                        raise PresentationError(
-                            f"tail of pair ({j},{i}) uses a negative power of {gens[t]}")
 
         self.name = name
         self.context = context
@@ -261,12 +257,12 @@ class Fuel:
 
 def _letters(p: Presentation, syllables) -> list[tuple[int, int]]:
     """The letters of a word of (generator index, exponent) pairs, the only
-    way a word enters the engine.  It first checks that each index names a
-    generator, that no non-invertible generator has a negative power
-    (NegativeExponent) and that there are at most MAX_WORD_LETTERS letters
-    (WordTooLong).  Nothing checks a word again, because rewriting keeps it
-    valid: a swap only permutes letters; Presentation rejects a tail with a
-    negative power of a non-invertible generator; and an inverse letter
+    way a word enters the engine, rule tails included.  It first checks that
+    each index names a generator, that no non-invertible generator has a
+    negative power (NegativeExponent) and that there are at most
+    MAX_WORD_LETTERS letters (WordTooLong).  Nothing checks a word again,
+    because rewriting keeps it valid: a swap only permutes letters; every tail
+    passed this check when Presentation compiled it; and an inverse letter
     belongs to an invertible generator, on whose pairs Presentation allows
     no tail.
     """

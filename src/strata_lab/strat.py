@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from . import lattice
 from .grading import NormalityCertificate, commutation_products, scalar_normality_check
-from .pbw import Element, Presentation, Rule, gen, monomial, multiply
+from .pbw import Element, Presentation, Rule, gen, monomial
 
 
 class StratError(Exception):
@@ -77,28 +77,18 @@ def check_genericity(p: Presentation) -> None:
                 "of the commutation group is not certified")
 
 
-def domain_shadow_check(p: Presentation) -> bool:
-    """Leading-term additivity holds structurally for tail-free unit swaps:
-    every product of two generators, in either order, is a single monomial."""
-    if any(rule.tail for rule in p.rules.values()):
-        return False
-    return all(len(multiply(p, gen(p, i), gen(p, j)).terms) == 1
-               for i in range(p.ngens) for j in range(p.ngens))
-
-
 def hspec_quantum_affine(p: Presentation) -> list[HPrime]:
     """All stable primes, ordered by (size, members); the poset is inclusion.
 
     Each ideal is generated by some of the generators, and check_quantum_affine
-    requires the standard weight of each, so each ideal is torus-stable.  Every
-    quotient keeps a subset of p's tail-free swaps, so the domain shadow check
-    of p, over all ordered generator pairs, covers every quotient.
+    requires the standard weight of each, so each ideal is torus-stable.  Its
+    rules are tail-free with unit swaps, so every product of two generators is
+    one nonzero term and each quotient by generators is again a domain; no
+    product is computed to confirm it.
     """
     check_quantum_affine(p)
     check_genericity(p)
     n = p.ngens
-    if not domain_shadow_check(p):
-        raise AssertionError("presentation failed the domain shadow check")
     return [HPrime(members) for size in range(n + 1)
             for members in itertools.combinations(range(1, n + 1), size)]
 
@@ -195,7 +185,7 @@ def stratum_report(p: Presentation, w: HPrime) -> StratumReport:
     for v in basis:
         if not is_central(torus, monomial(torus, v)):
             raise AssertionError("kernel vector is not central in the torus")
-    return StratumReport(w, torus, mat, len(basis), [tuple(v) for v in basis])
+    return StratumReport(w, torus, mat, len(basis), basis)
 
 
 def brute_force_central_monomials(torus: Presentation, box: int) -> list[tuple[int, ...]]:

@@ -27,35 +27,31 @@ class DegenerateLambda(ZooError):
 
 
 class AntisymmetricMatrixSpec:
-    """Multiplicatively antisymmetric matrix of unit-monomial coefficients.
+    """Multiplicatively antisymmetric n x n matrix of unit-monomial coefficients.
 
-    Diagonal entries are 1 and entry (j, i) is the inverse of entry (i, j)
-    by construction, so antisymmetry is exact.
+    upper maps 1-based pairs (i, j), i < j, to unit Coefficients over context;
+    an absent pair is 1.  The diagonal is 1 and entry (j, i) is the inverse of
+    entry (i, j), so antisymmetry holds by construction.
     """
 
     __slots__ = ("context", "n", "entries")
 
-    def __init__(self, context: ParamContext, entries):
-        rows = tuple(tuple(row) for row in entries)
-        n = len(rows)
-        if any(len(row) != n for row in rows):
-            raise BadMatrix("matrix must be square")
+    def __init__(self, context: ParamContext, n: int, upper):
+        if n < 0:
+            raise BadMatrix("need n >= 0")
         one = Coefficient.one(context)
-        for i in range(n):
-            if rows[i][i] != one:
-                raise BadMatrix("diagonal entries must be 1")
-            for j in range(n):
-                c = rows[i][j]
-                if not isinstance(c, Coefficient) or c.context != context:
-                    raise BadMatrix("entries must be coefficients over the shared context")
-                if not c.is_unit():
-                    raise BadMatrix(f"entry ({i + 1},{j + 1}) is not a unit monomial")
-                if c * rows[j][i] != one:
-                    raise BadMatrix(f"entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) "
-                                    "are not mutually inverse")
+        rows = [[one] * n for _ in range(n)]
+        for (i, j), c in upper.items():
+            if not 1 <= i < j <= n:
+                raise BadMatrix(f"bad upper index pair ({i},{j})")
+            if not (isinstance(c, Coefficient) and c.context == context and c.is_unit()):
+                raise BadMatrix(f"entry ({i},{j}) = {c!r} is not a unit monomial "
+                                "over the shared context")
+            rows[i - 1][j - 1] = c
+            rows[j - 1][i - 1] = c.invert_unit()
         self.context = context
         self.n = n
-        self.entries = rows
+        self.entries = tuple(map(tuple, rows))
 
     def entry(self, i: int, j: int) -> Coefficient:
         """0-based entry."""
@@ -74,28 +70,16 @@ class AntisymmetricMatrixSpec:
                  for i, j in pairs]
         ctx = ParamContext([*extra_symbols, *names])
         power = -1 if below_diagonal else 1
-        return AntisymmetricMatrixSpec.from_upper(
+        return AntisymmetricMatrixSpec(
             ctx, n, {pair: Coefficient.symbol(ctx, name, power)
                      for pair, name in zip(pairs, names)})
-
-    @staticmethod
-    def from_upper(context: ParamContext, n: int, upper) -> "AntisymmetricMatrixSpec":
-        """Build from above-diagonal entries, a map (i, j) -> Coefficient with 1-based i < j."""
-        one = Coefficient.one(context)
-        rows = [[one] * n for _ in range(n)]
-        for (i, j), c in upper.items():
-            if not 1 <= i < j <= n:
-                raise BadMatrix(f"bad upper index pair ({i},{j})")
-            rows[i - 1][j - 1] = c
-            rows[j - 1][i - 1] = c.invert_unit()
-        return AntisymmetricMatrixSpec(context, rows)
 
     @staticmethod
     def single(n: int, upper_exponent: int = 1) -> "AntisymmetricMatrixSpec":
         """One symbol q: entry (i, j) is q^upper_exponent above the diagonal."""
         ctx = ParamContext(["q"])
         upper = Coefficient.symbol(ctx, "q", upper_exponent)
-        return AntisymmetricMatrixSpec.from_upper(
+        return AntisymmetricMatrixSpec(
             ctx, n, {(i, j): upper for i in range(1, n + 1) for j in range(i + 1, n + 1)})
 
 

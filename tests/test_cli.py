@@ -106,8 +106,16 @@ _RULES = "algebra a\ngenerators x y\nrules\n"
      "line 6, col 1: weight for unknown generator 'z'"),
     (_RULES + "y * x = x * y\nweights\nx = (1, 0)\nx = (1, 0)",
      "line 7, col 1: duplicate weight for 'x'"),
-    (_RULES + "y * x = x * y\nweights\nx = (1, 0)", "missing weights for ['y']"),
-    (_RULES + "y * x = x * y\nweights\nx = (1, 0)\ny = (1)", "weight vectors of unequal rank"),
+    (_RULES + "y * x = x * y\nweights\nx = (1, 0)",
+     "line 2, col 14: missing weights for ['y']"),
+    (_RULES + "y * x = x * y\nweights\nx = (1, 0)\ny = (1)",
+     "line 7, col 1: weight vectors of unequal rank"),
+    ("algebra a\ngenerators x y\nweights\nx = (1)\ny = (1)",
+     "line 2, col 14: missing rule pair (y, x)"),
+    ("algebra a\ngenerators x y invertible\nrules\ny * x = x * y + 1",
+     "line 4, col 1: rule for (y, x) has a tail, but the generators are invertible"),
+    (_RULES + "y * x = x * y + x^10000001",
+     "a word of 10000001 letters is longer than the limit of 10000000 letters"),
 ])
 def test_rejected_zoo_calls(tmp_path, capsys, source, message):
     code, out = invoke(capsys, "verify", write(tmp_path, source + "\n"))

@@ -75,6 +75,15 @@ def test_multiply_single_swaps(plane):
     x1, x2 = gen(plane, 0), gen(plane, 1)
     assert multiply(plane, x1, x2) == monomial(plane, (1, 1))
     assert multiply(plane, x2, x1) == monomial(plane, (1, 1), q.invert_unit())
+    # in every tail-free zoo family each product of two generators is one unit term
+    for build in (zoo.quantum_affine_generic, zoo.quantum_affine_single,
+                  zoo.quantum_torus_generic, zoo.quantum_torus_single):
+        for n in range(5):
+            p = build(n)
+            for i, j in itertools.product(range(n), repeat=2):
+                (exp, c), = multiply(p, gen(p, i), gen(p, j)).terms.items()
+                assert exp == tuple((t == i) + (t == j) for t in range(n))
+                assert c.is_unit(), (p.name, i, j)
 
 
 def test_normal_form_idempotent(m2):
@@ -333,6 +342,10 @@ def test_presentation_validation():
     rules = {(1, 0): Rule(UnitMonomial(1, (0,)), Element({(1, 1): Coefficient.one(ctx)}))}
     with pytest.raises(PresentationError):
         Presentation(ctx, ["x1", "x2"], rules, invertible=True)  # tail on invertible pair
+    # a tail's powers are checked where the tail enters the engine, by _letters
+    rules = {(1, 0): Rule(UnitMonomial(1, (0,)), Element({(-1, 1): Coefficient.one(ctx)}))}
+    with pytest.raises(NegativeExponent, match="generator x1$"):
+        Presentation(ctx, ["x1", "x2"], rules)
 
 
 def test_generators_are_all_polynomial_or_all_invertible(plane):

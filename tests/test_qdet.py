@@ -129,16 +129,14 @@ def test_sl_condition_single_param():
 
 def test_sl_condition_commutative():
     ctx = ParamContext([])
-    one = Coefficient.one(ctx)
-    p = zoo.AntisymmetricMatrixSpec(ctx, [[one, one], [one, one]])
-    assert sl_condition(2, one, p)
+    p = zoo.AntisymmetricMatrixSpec(ctx, 2, {})
+    assert sl_condition(2, Coefficient.one(ctx), p)
 
 
 def test_sl_condition_generic_multiparameter_false():
     ctx = ParamContext(["t"])
     t = Coefficient.symbol(ctx, "t")
-    p = zoo.AntisymmetricMatrixSpec(ctx, [[Coefficient.one(ctx), t.invert_unit()],
-                                          [t, Coefficient.one(ctx)]])
+    p = zoo.AntisymmetricMatrixSpec(ctx, 2, {(1, 2): t.invert_unit()})
     assert not sl_condition(2, Coefficient.one(ctx), p)
 
 
@@ -158,7 +156,7 @@ def test_centrality_iff_scalars_one_on_specializations():
                 upper[(i, j)] = Coefficient.monomial(
                     ctx, rng.choice([1, -1]),
                     (rng.randint(-2, 2), rng.randint(-2, 2)))
-        cases.append((n, lam, zoo.AntisymmetricMatrixSpec.from_upper(ctx, n, upper)))
+        cases.append((n, lam, zoo.AntisymmetricMatrixSpec(ctx, n, upper)))
     for n in range(1, 6):
         cases.append((n, *zoo.generic_matrix_data(n)))
         cases.append((n, *zoo.single_param_matrix_data(n)))

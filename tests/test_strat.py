@@ -6,7 +6,7 @@ import pytest
 
 from strata_lab import lattice, zoo
 from strata_lab.coeff import Coefficient, ParamContext
-from strata_lab.pbw import gen, monomial, multiply
+from strata_lab.pbw import Presentation, Rule, gen, monomial, multiply, one
 from strata_lab.strat import (GenericityUnverified, HPrime, StratError,
                               brute_force_central_monomials,
                               commutation_exponent_matrix, hspec_quantum_affine,
@@ -76,7 +76,7 @@ def test_hspec_requires_affine_shape():
 def test_genericity_guard_rejects_signed_scalars():
     ctx = ParamContext(["q"])
     q = Coefficient.symbol(ctx, "q")
-    spec = zoo.AntisymmetricMatrixSpec.from_upper(ctx, 2, {(1, 2): -q})
+    spec = zoo.AntisymmetricMatrixSpec(ctx, 2, {(1, 2): -q})
     p = zoo.quantum_affine(spec)
     with pytest.raises(GenericityUnverified):
         hspec_quantum_affine(p)
@@ -136,9 +136,7 @@ def test_ore_product_is_ordered_monomial(qa3s):
 def test_brute_force_central_monomials():
     t2 = stratum_torus(zoo.quantum_affine_generic(2), HPrime(()))
     assert brute_force_central_monomials(t2, 2) == [(0, 0)]
-    commutative = zoo.quantum_torus(
-        zoo.AntisymmetricMatrixSpec(ParamContext([]),
-                                    [[Coefficient.one(ParamContext([]))] * 2] * 2))
+    commutative = zoo.quantum_torus(zoo.AntisymmetricMatrixSpec(ParamContext([]), 2, {}))
     box = brute_force_central_monomials(commutative, 1)
     assert box == sorted(itertools.product((-1, 0, 1), repeat=2))
     t3 = stratum_torus(zoo.quantum_affine_single(3), HPrime(()))
@@ -227,13 +225,6 @@ def test_exponent_matrix_rows(qa2):
     assert commutation_exponent_matrix(t) == [[0, 1], [-1, 0]]
 
 
-def test_domain_shadow_check():
-    from strata_lab.strat import domain_shadow_check
-    assert domain_shadow_check(zoo.quantum_affine_generic(3))
-    assert domain_shadow_check(zoo.quantum_torus_single(2))
-    assert not domain_shadow_check(zoo.quantum_matrices_generic(2, 2))
-
-
 @pytest.mark.parametrize("single", [False, True])
 @pytest.mark.parametrize("n", range(6))
 def test_axioms_match_the_definition(n, single):
@@ -288,22 +279,23 @@ def test_squarefree_mask_helpers_match_monomial_ideals():
 
 
 def test_hspec_checks_all_generator_pairs_once(monkeypatch):
+    # check_quantum_affine reads each pair's rule once; tail-free unit swaps
+    # make every product of two generators one term, so no product is computed
+    import strata_lab.pbw as pbw
     import strata_lab.strat as strat
     p = zoo.quantum_affine_generic(4)
-    pairs = []
 
-    def recording_multiply(pres, a, b, fuel=None):
-        pairs.append((next(iter(a.terms)), next(iter(b.terms))))
-        return multiply(pres, a, b, fuel)
+    def refuse(*args, **kwargs):
+        raise AssertionError("hspec must not rewrite or build quotient presentations")
 
-    def no_quotient(*args, **kwargs):
-        raise AssertionError("hspec must not build quotient presentations")
-
-    monkeypatch.setattr(strat, "multiply", recording_multiply)
-    monkeypatch.setattr(strat, "quotient_presentation", no_quotient)
+    monkeypatch.setattr(pbw, "_reduce", refuse)
+    monkeypatch.setattr(strat, "quotient_presentation", refuse)
     assert len(hspec_quantum_affine(p)) == 16
-    units = [tuple(1 if t == i else 0 for t in range(4)) for i in range(4)]
-    assert sorted(pairs) == sorted((a, b) for a in units for b in units)
+    plane = zoo.quantum_affine_generic(2)
+    tailed = Presentation(plane.context, plane.generators,
+                          {(1, 0): Rule(plane.rules[(1, 0)].swap, one(plane))})
+    with pytest.raises(StratError, match=r"rule \(1, 0\) has a tail"):
+        hspec_quantum_affine(tailed)
 
 
 def test_witness_rejects_generators_that_do_not_exist(qa2):

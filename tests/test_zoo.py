@@ -34,7 +34,7 @@ def test_affine_n1_is_commutative_polynomial_ring():
 
 def test_affine_all_ones_is_commutative():
     ctx = ParamContext([])
-    spec = AntisymmetricMatrixSpec(ctx, [[Coefficient.one(ctx)] * 3 for _ in range(3)])
+    spec = AntisymmetricMatrixSpec(ctx, 3, {})
     p = zoo.quantum_affine(spec)
     assert all(r.resolved for r in diamond_check(p))
     x1, x3 = gen(p, 0), gen(p, 2)
@@ -113,6 +113,90 @@ def test_bad_matrix_size_rejected():
     lam, p = zoo.generic_matrix_data(2)
     with pytest.raises(BadMatrix):
         zoo.quantum_matrices(2, 3, lam, p)
+
+
+def _negative_size_calls():
+    calls = []
+    for sizes, *builds in zoo.FAMILIES.values():
+        for build in filter(None, builds):
+            for bad in sizes:
+                kwargs = {key: -1 if key == bad else 2 for key in sizes}
+                calls.append(pytest.param(build, kwargs, id=f"{build.__name__}({bad}=-1)"))
+    lam, p = zoo.generic_matrix_data(2)
+    for build in (AntisymmetricMatrixSpec.generic, AntisymmetricMatrixSpec.single,
+                  zoo.generic_matrix_data, zoo.single_param_matrix_data):
+        calls.append(pytest.param(build, {"n": -1}, id=f"{build.__qualname__}(n=-1)"))
+    calls.append(pytest.param(AntisymmetricMatrixSpec,
+                              {"context": ParamContext([]), "n": -1, "upper": {}},
+                              id="AntisymmetricMatrixSpec(n=-1)"))
+    calls.append(pytest.param(zoo.quantum_matrices, {"m": -1, "n": 2, "lam": lam, "p": p},
+                              id="quantum_matrices(m=-1)"))
+    return calls
+
+
+@pytest.mark.parametrize("build, kwargs", _negative_size_calls())
+def test_negative_sizes_are_rejected(build, kwargs):
+    with pytest.raises(zoo.ZooError):
+        build(**kwargs)
+
+
+def _bad_entries():
+    ctx = ParamContext(["q"])
+    q = Coefficient.symbol(ctx, "q")
+    return [pytest.param(ctx, 1, id="int"),
+            pytest.param(ctx, Coefficient.integer(ctx, 2) * q, id="2*q"),
+            pytest.param(ctx, Coefficient.one(ctx) + q, id="1+q"),
+            pytest.param(ctx, Coefficient.zero(ctx), id="0"),
+            pytest.param(ctx, Coefficient.symbol(ParamContext(["t"]), "t"),
+                         id="other context")]
+
+
+@pytest.mark.parametrize("ctx, entry", _bad_entries())
+def test_spec_rejects_entries_that_are_not_units_over_its_context(ctx, entry):
+    with pytest.raises(BadMatrix, match=r"^entry \(1,2\) = .* is not a unit monomial"):
+        AntisymmetricMatrixSpec(ctx, 2, {(1, 2): entry})
+
+
+@pytest.mark.parametrize("pair", [(2, 1), (1, 1), (0, 1), (1, 3)], ids=str)
+def test_spec_rejects_bad_index_pairs(pair):
+    ctx = ParamContext(["q"])
+    with pytest.raises(BadMatrix, match="bad upper index pair"):
+        AntisymmetricMatrixSpec(ctx, 2, {pair: Coefficient.symbol(ctx, "q")})
+
+
+def _assert_antisymmetric(spec):
+    one_ = Coefficient.one(spec.context)
+    for i in range(spec.n):
+        assert spec.entry(i, i) == one_
+        for j in range(spec.n):
+            assert spec.entry(i, j) * spec.entry(j, i) == one_, (i, j)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_generic_and_single_specs_are_antisymmetric(n):
+    for spec in (AntisymmetricMatrixSpec.generic(n),
+                 AntisymmetricMatrixSpec.generic(n, prefix="p", below_diagonal=True),
+                 AntisymmetricMatrixSpec.single(n),
+                 AntisymmetricMatrixSpec.single(n, upper_exponent=-1)):
+        assert spec.n == n
+        _assert_antisymmetric(spec)
+
+
+def test_random_unit_upper_entries_give_an_antisymmetric_spec():
+    seed = 1807
+    print(f"seed {seed}")
+    rng = random.Random(seed)
+    ctx = ParamContext(["a", "b", "c"])
+    for _ in range(60):
+        n = rng.randint(0, 6)
+        upper = {(i, j): Coefficient.monomial(ctx, rng.choice((1, -1)),
+                                              tuple(rng.randint(-3, 3) for _ in range(3)))
+                 for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < 0.8}
+        spec = AntisymmetricMatrixSpec(ctx, n, upper)
+        _assert_antisymmetric(spec)
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                assert spec.entry(i - 1, j - 1) == upper.get((i, j), Coefficient.one(ctx))
 
 
 def test_weyl_rules_and_weights():
@@ -197,7 +281,7 @@ def test_torus_generators_are_invertible():
 
 def test_torus_n0_is_the_coefficient_ring():
     ctx = ParamContext([])
-    spec = AntisymmetricMatrixSpec(ctx, [])
+    spec = AntisymmetricMatrixSpec(ctx, 0, {})
     t = zoo.quantum_torus(spec)
     assert t.ngens == 0
     assert one(t) == monomial(t, ())
