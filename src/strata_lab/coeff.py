@@ -63,6 +63,24 @@ def check_power_digits(base: int, k: int) -> None:
         raise TooManyDigits()
 
 
+def sum_text(terms: Mapping[tuple[int, ...], int], names) -> str:
+    """Terms, exponent tuple -> nonzero int over names, as a sum the DSL parses,
+    in ascending exponent order: "1 - 7*q^-1 + q*x^2", or "0" for no terms."""
+    parts = []
+    for exp in sorted(terms):
+        c = terms[exp]
+        factors = [] if c in (1, -1) else [number_text(abs(c))]
+        for name, e in zip(names, exp):
+            if e:
+                factors.append(name if e == 1 else f"{name}^{number_text(e)}")
+        text = "*".join(factors) or "1"
+        if parts:
+            parts.append(f"+ {text}" if c > 0 else f"- {text}")
+        else:
+            parts.append(text if c > 0 else f"-{text}")
+    return " ".join(parts) if parts else "0"
+
+
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
@@ -336,30 +354,8 @@ class Coefficient:
 
     # -- printing ----------------------------------------------------------
 
-    def _term_text(self, exp: tuple[int, ...], c: int) -> str:
-        factors = []
-        for name, e in zip(self.context.symbols, exp):
-            if e == 0:
-                continue
-            factors.append(name if e == 1 else f"{name}^{number_text(e)}")
-        mag = number_text(abs(c))
-        if not factors:
-            return mag
-        body = "*".join(factors)
-        return body if mag == "1" else f"{mag}*{body}"
-
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for exp in sorted(self.terms):
-            c = self.terms[exp]
-            text = self._term_text(exp, c)
-            if not parts:
-                parts.append(text if c > 0 else f"-{text}")
-            else:
-                parts.append(f"+ {text}" if c > 0 else f"- {text}")
-        return " ".join(parts)
+        return sum_text(self.terms, self.context.symbols)
 
     def __repr__(self) -> str:
         return f"Coefficient({self})"

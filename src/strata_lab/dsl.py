@@ -21,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import zoo
-from .coeff import Coefficient, NonUnitDivision, ParamContext, check_power_digits, max_digits
+from .coeff import (Coefficient, NonUnitDivision, ParamContext, check_power_digits,
+                    max_digits, sum_text)
 from .pbw import (Element, Fuel, NegativeExponent, Presentation, PresentationError,
-                  Rule, WordTooLong, format_element, product)
+                  Rule, WordTooLong, product)
 
 
 # Largest product of the size literals of a `use` line.  The generic families
@@ -493,11 +494,13 @@ def _parse_presentation(stream: _Stream) -> Presentation:
         return Presentation(context, gens, rules, weights,
                             invertible=invertible, name=name)
     except WordTooLong as exc:  # a tail longer than the engine takes
-        raise DslError(str(exc)) from exc
+        tok = raw_rules[exc.pair][1]
+        raise DslError(str(exc), tok.line, tok.col) from exc
 
 
 def print_presentation(p: Presentation) -> str:
-    """Render a presentation back to DSL source; parse(print(p)) == p."""
+    """Render a presentation back to DSL source; parse(print(p)) == p.  Each
+    rule's right side is one flat sum over the parameters, then the generators."""
     lines = [f"algebra {p.name}"]
     if p.context.symbols:
         lines.append("params " + " ".join(p.context.symbols))
@@ -508,11 +511,12 @@ def print_presentation(p: Presentation) -> str:
         lines.append(gline)
     if p.ngens >= 2:
         lines.append("rules")
+        names = p.context.symbols + p.generators
         for (j, i), rule in sorted(p.rules.items()):
             swap_exp = tuple(1 if t in (i, j) else 0 for t in range(p.ngens))
-            rhs = Element({swap_exp: rule.swap.to_coefficient(p.context)}) + rule.tail
-            lines.append(f"{p.generators[j]} * {p.generators[i]} = "
-                         f"{format_element(p, rhs)}")
+            rhs = {e + exp: k for exp, c in rule.tail.terms.items() for e, k in c.terms.items()}
+            rhs[rule.swap.exponents + swap_exp] = rule.swap.sign
+            lines.append(f"{p.generators[j]} * {p.generators[i]} = {sum_text(rhs, names)}")
     if p.ngens:
         lines.append("weights")
         for g, w in zip(p.generators, p.weights):

@@ -59,7 +59,9 @@ class PresentationError(EngineError):
 
 
 class WordTooLong(EngineError):
-    """A word has more letters than MAX_WORD_LETTERS."""
+    """A word has more letters than MAX_WORD_LETTERS; pair is (hi, lo) for a rule's tail."""
+
+    pair = None
 
 
 class Element:
@@ -183,6 +185,9 @@ class Presentation:
                     raise PresentationError(f"tail monomial width mismatch in pair ({j},{i})")
                 if c.context != context:
                     raise ContextMismatch("tail coefficient over a different context")
+            if rule.tail and tuple(1 if t in (i, j) else 0 for t in range(n)) in rule.tail.terms:
+                raise PresentationError(f"the tail for ({gens[j]}, {gens[i]}) has a "
+                                        f"{gens[i]}*{gens[j]} term; it belongs in the swap")
 
         self.name = name
         self.context = context
@@ -201,7 +206,11 @@ class Presentation:
         for (j, i), rule in self.rules.items():
             tails = []
             for exp, c in rule.tail.terms.items():
-                tails.append((len(self._factors), _letters(self, enumerate(exp))))
+                try:
+                    tails.append((len(self._factors), _letters(self, enumerate(exp))))
+                except WordTooLong as exc:
+                    exc.pair = (j, i)
+                    raise
                 self._factors.append(c)
             self._moves[j][i] = (rule.swap.sign, rule.swap.exponents, tuple(tails))
 
@@ -488,43 +497,3 @@ def hilbert_count(p: Presentation, degree: int) -> int:
     if p.ngens == 0:
         return 1 if degree == 0 else 0
     return comb(p.ngens + degree - 1, degree)
-
-
-# -- printing -----------------------------------------------------------------
-
-
-def monomial_text(p: Presentation, exp: Sequence[int]) -> str:
-    factors = []
-    for name, e in zip(p.generators, exp):
-        if e == 0:
-            continue
-        factors.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(factors) if factors else "1"
-
-
-def format_element(p: Presentation, a: Element) -> str:
-    """Human- and parser-readable text; leading terms first."""
-    if not a:
-        return "0"
-    parts = []
-    for exp in sorted(a.terms, key=order_key, reverse=True):
-        c = a.terms[exp]
-        mono = monomial_text(p, exp)
-        if len(c.terms) == 1:
-            (ce, ci), = c.terms.items()
-            body = c._term_text(ce, ci)
-            neg = ci < 0
-            if body == "1":
-                text = mono
-            elif mono == "1":
-                text = body
-            else:
-                text = f"{body} * {mono}"
-            if not parts:
-                parts.append(text if not neg else f"-{text}")
-            else:
-                parts.append(f"+ {text}" if not neg else f"- {text}")
-        else:
-            text = f"({c}) * {mono}" if mono != "1" else f"({c})"
-            parts.append(text if not parts else f"+ {text}")
-    return " ".join(parts)

@@ -115,7 +115,7 @@ _RULES = "algebra a\ngenerators x y\nrules\n"
     ("algebra a\ngenerators x y invertible\nrules\ny * x = x * y + 1",
      "line 4, col 1: rule for (y, x) has a tail, but the generators are invertible"),
     (_RULES + "y * x = x * y + x^10000001",
-     "a word of 10000001 letters is longer than the limit of 10000000 letters"),
+     "line 4, col 1: a word of 10000001 letters is longer than the limit of 10000000 letters"),
 ])
 def test_rejected_zoo_calls(tmp_path, capsys, source, message):
     code, out = invoke(capsys, "verify", write(tmp_path, source + "\n"))
@@ -274,6 +274,49 @@ def test_round_trip_all_zoo_presentations():
     ]
     for p in presentations:
         assert parse(print_presentation(p)) == p, p.name
+
+
+def test_printed_rules_are_flat_sums():
+    # terms ascend by exponent, the parameters' before the generators'
+    weyl = print_presentation(zoo.quantized_weyl_generic(2)).splitlines()
+    assert "x2 * y2 = 1 - y1*x1 + q_2*y2*x2 + q_1*y1*x1" in weyl
+    assert "x2 * x1 = q_1^-1*gam_1_2^-1*x1*x2" in weyl
+    euclid = print_presentation(zoo.quantum_euclidean(5)).splitlines()
+    assert "x5 * x1 = -v^-2*x2*x4 + x1*x5 - v*x3^2 + v^2*x2*x4 + v^3*x3^2" in euclid
+
+
+def test_round_trip_hand_built_presentations():
+    # rules the zoo never builds: tail coefficients of several terms, negative
+    # parameter powers, integers above 1, constant tail terms, invertible tori
+    from strata_lab.coeff import ParamContext, UnitMonomial
+    from strata_lab.pbw import Presentation, Rule
+    seed = 19
+    print(f"seed {seed}")
+    rng = random.Random(seed)
+    for trial in range(60):
+        ctx = ParamContext(["q", "lam", "t_2"][:rng.randint(0, 3)])
+        n = rng.randint(2, 4)
+        invertible = trial % 4 == 0
+        rules = {}
+        for j in range(n):
+            for i in range(j):
+                swap = UnitMonomial(rng.choice([1, -1]),
+                                    tuple(rng.randint(-3, 3) for _ in ctx.symbols))
+                tail = {}
+                while not invertible and rng.random() < 0.6:
+                    exp = tuple(rng.randint(0, 2) for _ in range(n))
+                    if exp != tuple(1 if t in (i, j) else 0 for t in range(n)):
+                        tail[exp] = Coefficient(ctx, [
+                            (tuple(rng.randint(-2, 2) for _ in ctx.symbols),
+                             rng.choice([1, -1, 2, -7, 10 ** 20]))
+                            for _ in range(rng.randint(1, 3))])
+                rules[(j, i)] = Rule(swap, Element(tail))
+        rank = rng.randint(0, 2)
+        weights = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(n)]
+        p = Presentation(ctx, [f"x{k}" for k in range(1, n + 1)], rules, weights,
+                         invertible=invertible, name=f"hand_{trial}")
+        text = print_presentation(p)
+        assert parse(text) == p, text
 
 
 # -- subcommands -----------------------------------------------------------------

@@ -18,6 +18,27 @@ ONE = Coefficient.one(CTX)
 ZERO = Coefficient.zero(CTX)
 
 
+@pytest.mark.parametrize("value,text", [
+    (ZERO, "0"),
+    (ONE, "1"),
+    (-ONE, "-1"),
+    (Coefficient.integer(CTX, 7), "7"),
+    (Coefficient.integer(CTX, -7), "-7"),
+    (Coefficient.integer(CTX, 10 ** 29 + 7), "100000000000000000000000000007"),
+    (-(10 ** 29) * Q, "-100000000000000000000000000000*q"),
+    (2 - Q ** -1, "-q^-1 + 2"),
+    (Q ** -3 * LAM ** 2, "q^-3*lam^2"),
+    (-7 * Q * LAM ** -1, "-7*q*lam^-1"),
+    (1 - LAM + 3 * Q ** 2 - Q * LAM, "1 - lam - q*lam + 3*q^2"),
+    (Q + LAM + 1 + Q * LAM ** -1 + LAM ** 2, "1 + lam + lam^2 + q*lam^-1 + q"),
+])
+def test_coefficient_text(value, text):
+    # factors follow the symbols, (q, lam); terms ascend by exponent tuple; a power
+    # or a magnitude of 1 is left out; the first term carries its sign unspaced
+    assert str(value) == text
+    assert parse_coefficient(CTX, text) == value
+
+
 def test_additive_inverse_cancels():
     assert Q + (-Q) == ZERO
     assert not (Q - Q)

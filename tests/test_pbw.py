@@ -346,6 +346,12 @@ def test_presentation_validation():
     rules = {(1, 0): Rule(UnitMonomial(1, (0,)), Element({(-1, 1): Coefficient.one(ctx)}))}
     with pytest.raises(NegativeExponent, match="generator x1$"):
         Presentation(ctx, ["x1", "x2"], rules)
+    # a tail term on the swap monomial x1*x2 would write that term twice
+    q = Coefficient.symbol(ctx, "q")
+    for tail in [{(1, 1): q}, {(1, 1): q, (2, 0): q}]:
+        rules = {(1, 0): Rule(UnitMonomial(1, (0,)), Element(tail))}
+        with pytest.raises(PresentationError, match=r"tail for \(x2, x1\) has a x1\*x2 term"):
+            Presentation(ctx, ["x1", "x2"], rules)
 
 
 def test_generators_are_all_polynomial_or_all_invertible(plane):
