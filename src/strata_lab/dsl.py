@@ -498,9 +498,26 @@ def _parse_presentation(stream: _Stream) -> Presentation:
         raise DslError(str(exc), tok.line, tok.col) from exc
 
 
+def _one_name(text: str) -> bool:
+    """Whether the tokenizer reads text as exactly one NAME, text itself."""
+    try:
+        return [(t.kind, t.value) for t in tokenize(text)] == [("NAME", text), ("EOF", "")]
+    except DslError:  # a character no source text may hold
+        return False
+
+
 def print_presentation(p: Presentation) -> str:
     """Render a presentation back to DSL source; parse(print(p)) == p.  Each
-    rule's right side is one flat sum over the parameters, then the generators."""
+    rule's right side is one flat sum over the parameters, then the generators.
+    A name that parse would not read back as that name is a DslError."""
+    if not _one_name(p.name):
+        raise DslError(f"algebra name {p.name!r} cannot be printed: the DSL would not "
+                       "read it back")
+    for g in p.generators:
+        if (not _one_name(g) or g in _SECTIONS or g in p.context
+                or g == p.generators[-1] == "invertible"):  # read as the flag
+            raise DslError(f"generator name {g!r} cannot be printed: the DSL would not "
+                           "read it back")
     lines = [f"algebra {p.name}"]
     if p.context.symbols:
         lines.append("params " + " ".join(p.context.symbols))

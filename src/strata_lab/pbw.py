@@ -22,6 +22,15 @@ so a run of tail-free swaps costs time linear in its length.  Finished words
 are grouped by monomial, seed and tail coefficients, and each group's
 coefficient is multiplied out once, after the last rewrite.
 
+A word that comes back to a rewrite with a tail within one call, as words
+do in quantum matrices, Weyl, symplectic and Euclidean spaces, is reduced
+once more into a memo entry: its groups from coefficient 1 and its leftmost
+rewrite count.  Every later visit charges that count to the budget at once
+and reuses the groups.  So fuel still counts the rule applications of the
+plain leftmost-first reduction, FuelExhausted fires on the same inputs and
+budgets, and the answers are the same; only shared subtrees are not walked
+again.  Tail-free swaps never touch the memo.
+
 Presentations and elements are immutable and normal_form/multiply are pure;
 diamond_check reports are sorted by triple, so results do not depend on
 evaluation order.
@@ -258,11 +267,6 @@ class Fuel:
             raise PresentationError("fuel must be a positive integer")
         self.left = budget
 
-    def tick(self):
-        self.left -= 1
-        if self.left < 0:
-            raise FuelExhausted("rewrite budget exceeded")
-
 
 def _letters(p: Presentation, syllables) -> list[tuple[int, int]]:
     """The letters of a word of (generator index, exponent) pairs, the only
@@ -305,6 +309,12 @@ def _reduce(p: Presentation, seeds: list, fuel: Fuel) -> Element:
     sorted tuple factors, times sign * (parameters ** shift), times word, which
     is ordered before position resume.  A rewrite pushes the swapped item, then
     one item per tail term, so the tails are reduced first.
+
+    The memo (see the module docstring) keeps only the hash of a word at its
+    first visit.  The next visit opens the word's entry, reduced from
+    coefficient 1 into finished groups of its own; its count is the fuel
+    spent until the entry closes.  Entries nest on a stack, not on the
+    interpreter's.
     """
     n = p.ngens
     moves = p._moves
@@ -313,34 +323,84 @@ def _reduce(p: Presentation, seeds: list, fuel: Fuel) -> Element:
     for base, (_, letters) in enumerate(seeds):
         pending.append((base, (), 1, zero, letters, 0))
     finished: dict = {}  # (monomial, base, factors) -> {shift: summed sign}
-    while pending:
-        base, factors, sign, shift, word, resume = pending.pop()
-        for k in range(resume, len(word) - 1):
-            if word[k][0] > word[k + 1][0]:
-                fuel.tick()
-                a, b = word[k], word[k + 1]
-                usign, uexps, tails = moves[a[0]][b[0]]
-                resume = k - 1 if k else 0
-                word[k], word[k + 1] = b, a
-                # swap^(e*f) with e, f = +-1: the sign is unchanged by the power
-                pending.append((base, factors, sign * usign,
-                                tuple(map(add if a[1] == b[1] else sub, shift, uexps)),
-                                word, resume))
-                for fid, letters in tails:
-                    pending.append((base, tuple(sorted(factors + (fid,))), sign, shift,
-                                    word[:k] + letters + word[k + 2:], resume))
-                break
-        else:
-            exps = [0] * n
-            for idx, e in word:
-                exps[idx] += e
-            key = (tuple(exps), base, factors)
-            shifts = finished.get(key)
-            if shifts is None:
-                finished[key] = {shift: sign}
+    # Only a presentation with tails keeps a memo: seen holds the hashes of the
+    # words that reached a rewrite with a tail, memo maps a word seen again to
+    # (rewrite count, finished groups), and entries holds the open entries as
+    # (word, fuel left, visiting item, outer pending, outer finished).
+    seen, memo, entries = (set(), {}, []) if p._factors else (None, None, None)
+    while True:
+        while pending:
+            base, factors, sign, shift, word, resume = pending.pop()
+            for k in range(resume, len(word) - 1):
+                if word[k][0] > word[k + 1][0]:
+                    a, b = word[k], word[k + 1]
+                    usign, uexps, tails = moves[a[0]][b[0]]
+                    if tails:
+                        key = tuple(word)
+                        mark = hash(key)
+                        if mark not in seen:
+                            seen.add(mark)
+                        else:  # the word came back, or its hash is another's
+                            got = memo.get(key)
+                            if got is not None:
+                                fuel.left -= got[0]
+                                if fuel.left < 0:
+                                    raise FuelExhausted("rewrite budget exceeded")
+                                _absorb(finished, got[1], base, factors, sign, shift)
+                                break
+                            memo[key] = _OPEN
+                            entries.append((key, fuel.left, (base, factors, sign, shift),
+                                            pending, finished))
+                            pending, finished = [], {}
+                            base, factors, sign, shift = 0, (), 1, zero
+                    fuel.left -= 1
+                    if fuel.left < 0:
+                        raise FuelExhausted("rewrite budget exceeded")
+                    resume = k - 1 if k else 0
+                    word[k], word[k + 1] = b, a
+                    # swap^(e*f) with e, f = +-1: the sign is unchanged by the power
+                    pending.append((base, factors, sign * usign,
+                                    tuple(map(add if a[1] == b[1] else sub, shift, uexps)),
+                                    word, resume))
+                    for fid, letters in tails:
+                        fids = tuple(sorted(factors + (fid,))) if factors else (fid,)
+                        pending.append((base, fids, sign, shift,
+                                        word[:k] + letters + word[k + 2:], resume))
+                    break
             else:
-                shifts[shift] = shifts.get(shift, 0) + sign
-    return _multiply_out(p, [c for c, _ in seeds], finished)
+                exps = [0] * n
+                for idx, e in word:
+                    exps[idx] += e
+                key = (tuple(exps), base, factors)
+                shifts = finished.get(key)
+                if shifts is None:
+                    finished[key] = {shift: sign}
+                else:
+                    shifts[shift] = shifts.get(shift, 0) + sign
+        if not entries:
+            return _multiply_out(p, [c for c, _ in seeds], finished)
+        key, left, item, pending, outer = entries.pop()
+        memo[key] = (left - fuel.left, finished)
+        _absorb(outer, finished, *item)
+        finished = outer
+
+
+# The memo's entry for a word while its own entry is reduced: a word met again
+# below itself is rewritten without end, which no budget pays for.
+_OPEN = (float("inf"), {})
+
+
+def _absorb(finished: dict, groups: dict, base, factors, sign, shift):
+    """Add an entry's groups, reduced from coefficient 1, to finished, scaled by
+    seeds[base] * factors * sign * (parameters ** shift)."""
+    for (mono, _, fs), shifts in groups.items():
+        key = (mono, base, tuple(sorted(factors + fs)) if factors else fs)
+        table = finished.get(key)
+        if table is None:
+            table = finished[key] = {}
+        for s, m in shifts.items():
+            s = tuple(map(add, shift, s))
+            table[s] = table.get(s, 0) + sign * m
 
 
 def _multiply_out(p: Presentation, bases: list, finished: dict) -> Element:

@@ -127,26 +127,39 @@ def leftmost_rewrites(p: Presentation, letters) -> int:
 
     A plain copy of the engine's strategy without coefficients: which words
     are rewritten, and where, depends only on the words, because a nonzero
-    coefficient times a swap unit or a tail coefficient is never zero.
+    coefficient times a swap unit or a tail coefficient is never zero.  So a
+    word's count is one plus the counts of the words its rewrite leaves (zero
+    for an ordered word), and each distinct word is counted once, children
+    first, on an explicit stack.  A word met again inside its own reduction
+    has no finite count: ValueError.
     """
-    count = 0
-    stack = [tuple(letters)]
+    counts = {}  # word -> count, None while the words below it are counted
+    stack = [(tuple(letters), None)]
     while stack:
-        w = stack.pop()
-        k = next((t for t in range(len(w) - 1) if w[t][0] > w[t + 1][0]), None)
-        if k is None:
+        w, below = stack.pop()
+        if below is not None:
+            counts[w] = 1 + sum(counts[v] for v in below) if below else 0
             continue
-        count += 1
-        (g, e), (h, f) = w[k], w[k + 1]
-        head, rest = w[:k], w[k + 2:]
-        stack.append(head + ((h, f), (g, e)) + rest)
-        if e == 1 and f == 1:
-            for texp in p.rules[(g, h)].tail.terms:
-                tl = []
-                for i, ev in enumerate(texp):
-                    tl.extend([(i, 1 if ev > 0 else -1)] * abs(ev))
-                stack.append(head + tuple(tl) + rest)
-    return count
+        if w in counts:
+            if counts[w] is None:
+                raise ValueError("a word recurs inside its own leftmost reduction")
+            continue
+        below = []
+        k = next((t for t in range(len(w) - 1) if w[t][0] > w[t + 1][0]), None)
+        if k is not None:
+            (g, e), (h, f) = w[k], w[k + 1]
+            head, rest = w[:k], w[k + 2:]
+            below.append(head + ((h, f), (g, e)) + rest)
+            if e == 1 and f == 1:
+                for texp in p.rules[(g, h)].tail.terms:
+                    tl = []
+                    for i, ev in enumerate(texp):
+                        tl.extend([(i, 1 if ev > 0 else -1)] * abs(ev))
+                    below.append(head + tuple(tl) + rest)
+        counts[w] = None
+        stack.append((w, below))
+        stack.extend((v, None) for v in below)
+    return counts[tuple(letters)]
 
 
 def normal_forms_every_order(p: Presentation, word) -> list[Element]:

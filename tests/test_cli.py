@@ -15,7 +15,7 @@ from strata_lab import cli, dsl, zoo
 from strata_lab.cli import run
 from strata_lab.coeff import Coefficient
 from strata_lab.dsl import DslError, evaluate_expression, parse, print_presentation
-from strata_lab.pbw import Element, monomial, normal_form
+from strata_lab.pbw import Element, FuelExhausted, monomial, normal_form
 
 import oracles
 
@@ -317,6 +317,54 @@ def test_round_trip_hand_built_presentations():
                          invertible=invertible, name=f"hand_{trial}")
         text = print_presentation(p)
         assert parse(text) == p, text
+
+
+@pytest.mark.parametrize("params, gens, bad", [
+    ([], ["x", "invertible"], "invertible"),  # read as the invertible flag
+    ([], ["x", "weights"], "weights"),        # a section keyword
+    (["q"], ["q", "x"], "q"),                 # read as the parameter
+    ([], ["x y", "z"], "x y"),                # two names
+])
+def test_printer_refuses_names_the_parser_cannot_read_back(params, gens, bad):
+    from strata_lab.coeff import ParamContext, UnitMonomial
+    from strata_lab.pbw import Presentation, Rule
+    ctx = ParamContext(params)
+    p = Presentation(ctx, gens, {(1, 0): Rule(UnitMonomial(1, (0,) * len(params)))})
+    with pytest.raises(DslError, match=f"generator name {bad!r} cannot be printed"):
+        print_presentation(p)
+    # the same names elsewhere still read back
+    ok = Presentation(ctx, ["invertible", "x"], p.rules)
+    assert parse(print_presentation(ok)) == ok
+    for name in ("my algebra", "x#1", ""):
+        with pytest.raises(DslError, match="algebra name .* cannot be printed"):
+            print_presentation(Presentation(ctx, ok.generators, p.rules, name=name))
+
+
+# A tail that brings z*x*y back inside its own reduction (z*x*y -> z*z*y ->
+# z*x*y, each by a tail), and a tail of higher degree than its rule, under
+# which the leftmost reduction of y*x*x never ends.
+ENDLESS = {
+    "recurring": ("algebra recurring\ngenerators x y z\nrules\ny * x = x*y\n"
+                  "z * x = x*z + z^2\nz * y = y*z + x*y\n", "z*x*y"),
+    "growing": ("algebra growing\ngenerators x y\nrules\ny * x = x*y + x^3*y^2\n", "y*x*x"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENDLESS))
+def test_endless_reductions_exhaust_every_budget(tmp_path, capsys, name):
+    text, word = ENDLESS[name]
+    p = parse(text)
+    letters = [(p.gen_index(g), 1) for g in word.split("*")]
+    for fuel in (1, 2, 10, 100, 1000):
+        with pytest.raises(FuelExhausted):
+            normal_form(p, letters, fuel=fuel)
+        code, out = invoke(capsys, "nf", write(tmp_path, text), word, "--fuel", str(fuel))
+        assert code == 1 and report_of(out)["status"] == "fail", fuel
+    if name == "recurring":
+        with pytest.raises(ValueError, match="recurs"):
+            oracles.leftmost_rewrites(p, letters)
+        with pytest.raises(FuelExhausted):  # found at once, whatever the budget
+            normal_form(p, letters)
 
 
 # -- subcommands -----------------------------------------------------------------

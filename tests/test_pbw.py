@@ -1,11 +1,12 @@
 import itertools
 import random
+import sys
 import zlib
 
 import pytest
 
 from strata_lab import pbw, zoo
-from strata_lab.coeff import Coefficient, ParamContext
+from strata_lab.coeff import Coefficient, ParamContext, UnitMonomial
 from strata_lab.grading import is_homogeneous, weight_of
 from strata_lab.pbw import (Element, Fuel, FuelExhausted, NegativeExponent,
                             Presentation, PresentationError, Rule, WordTooLong,
@@ -469,6 +470,65 @@ def test_overlap_fuel_boundary_is_the_leftmost_rewrite_count(family):
             fits = counts[r.triple] <= fuel
             assert (r.resolved, r.note) == ((True, "") if fits else (False, "fuel exhausted")), \
                 (r.triple, counts[r.triple], fuel)
+
+
+# Leftmost rewrite counts, derived with oracles.leftmost_rewrites, of every
+# generator in reverse order, each squared and each cubed: the sixteen long
+# words of the benchmark's rewrite workload.  None: not counted here, because
+# the oracle takes about a second on it.
+REVERSED_WORD_COUNTS = {
+    "quantized_weyl_generic(2)": (lambda: zoo.quantized_weyl_generic(2), 348, 25038),
+    "quantized_weyl_generic(3)": (lambda: zoo.quantized_weyl_generic(3), 58382, 197103090),
+    "quantum_symplectic(2)": (lambda: zoo.quantum_symplectic(2), 94, 903),
+    "quantum_symplectic(3)": (lambda: zoo.quantum_symplectic(3), 4418, 537597),
+    "quantum_euclidean(4)": (lambda: zoo.quantum_euclidean(4), 56, 375),
+    "quantum_euclidean(5)": (lambda: zoo.quantum_euclidean(5), 1196, 126810),
+    "quantum_matrices_generic(2, 3)": (lambda: zoo.quantum_matrices_generic(2, 3), 1612, 124236),
+    "quantum_matrices_generic(3, 3)": (lambda: zoo.quantum_matrices_generic(3, 3), 4762834, None),
+}
+
+
+def test_reversed_generator_words_cost_their_leftmost_counts():
+    # the memo charges a recurring word's whole count at once, so the budget
+    # still runs out exactly one rewrite below the plain leftmost count
+    for family, (build, *counts) in REVERSED_WORD_COUNTS.items():
+        p = build()
+        for power, count in zip((2, 3), counts):
+            letters = [(i, 1) for i in reversed(range(p.ngens)) for _ in range(power)]
+            if count is not None:
+                assert oracles.leftmost_rewrites(p, letters) == count, (family, power)
+            if count is None or count > pbw.DEFAULT_FUEL:
+                with pytest.raises(FuelExhausted):
+                    normal_form(p, letters)
+                continue
+            got = normal_form(p, letters, fuel=count)
+            if count <= 5000:  # the rightmost reducer walks every rewrite
+                unit = Coefficient.one(p.context)
+                assert got == oracles.reduce_rightmost(p, letters, unit), (family, power)
+            with pytest.raises(FuelExhausted):
+                normal_form(p, letters, fuel=count - 1)
+
+
+def test_memo_entries_nest_deeper_than_the_interpreter_stack():
+    # y x = x y + 1: in y^2 x^d the word x^a y x^b comes back inside the entry
+    # of x^(a-1) y x^(b+1), so entries nest about d deep, and
+    # y^2 x^d = x^d y^2 + 2d x^(d-1) y + d(d-1) x^(d-2) in d(d+1) rewrites
+    ctx = ParamContext([])
+    unit = Coefficient.one(ctx)
+    weyl = Presentation(ctx, ["x", "y"], {(1, 0): Rule(swap=UnitMonomial(1, ()),
+                                                       tail=Element({(0, 0): unit}))})
+    for d in (1, 2, 5, 9):
+        letters = [(1, 1), (1, 1)] + [(0, 1)] * d
+        assert oracles.leftmost_rewrites(weyl, letters) == d * (d + 1)
+    d = sys.getrecursionlimit() + 100
+    want = Element({(d, 2): unit, (d - 1, 1): unit * (2 * d),
+                    (d - 2, 0): unit * (d * (d - 1))})
+    small = [(1, 1), (1, 1)] + [(0, 1)] * 9
+    assert oracles.reduce_rightmost(weyl, small, unit) == Element(
+        {(9, 2): unit, (8, 1): unit * 18, (7, 0): unit * 72})
+    assert normal_form(weyl, [("y", 2), ("x", d)], fuel=d * (d + 1)) == want
+    with pytest.raises(FuelExhausted):
+        normal_form(weyl, [("y", 2), ("x", d)], fuel=d * (d + 1) - 1)
 
 
 @pytest.mark.parametrize("n, power, terms", [(2, 3, 22), (3, 2, 55)])
