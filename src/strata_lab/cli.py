@@ -219,7 +219,7 @@ def _cmd_strata(args, p):
         report = strat.stratum_report(p, w)
         record = _stratum_record(report)
         if args.box:
-            brute = strat.brute_force_central_monomials(report.torus, args.box)
+            brute = strat.brute_force_central_monomials(strat.stratum_torus(p, w), args.box)
             span = [v for v in product(range(-args.box, args.box + 1),
                                        repeat=report.torus_size)
                     if in_row_span(report.center_basis, v)]

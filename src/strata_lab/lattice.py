@@ -43,11 +43,6 @@ def matmul(A, B):
     return out
 
 
-def transpose(A):
-    rows, cols = _shape(A)
-    return [[A[i][j] for i in range(rows)] for j in range(cols)]
-
-
 def _eliminate(A):
     """Bareiss's fraction-free elimination (Math. Comp. 22, 1968) on a copy of
     A: (rank, sign of the row swaps, last pivot).  A column with no pivot is
@@ -147,7 +142,7 @@ def rank(A):
 def kernel_basis(A):
     """Z-basis of the right kernel {v : A*v = 0}, canonicalized by HNF rows."""
     rows, cols = _shape(A)
-    H, U = hnf(transpose(A))
+    H, U = hnf([list(c) for c in zip(*A)])
     vecs = [U[i] for i in range(cols) if not any(H[i])]
     if not vecs:
         # hnf certified U unimodular and H in Hermite form, so no zero row

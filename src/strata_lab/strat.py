@@ -2,10 +2,11 @@
 
 The full torus acts with one-dimensional weight spaces, so every stable ideal
 is a monomial ideal and the stable primes are exactly the ideals generated by
-subsets of the generators.  Each such prime yields a stratum: quotient to the
-quantum affine space on the surviving generators, localize to the quantum
-torus, and read the center off the integer kernel of the commutation
-exponent matrix.
+subsets of the generators.  Each such prime yields a stratum, whose center is
+the Laurent ring on the integer kernel of the commutation exponent matrix of
+the surviving generators, read straight off the parent's swaps.  The quantum
+torus on the survivors is built only to check each kernel monomial central
+with the engine, and for the box search that cross-checks it.
 """
 
 from __future__ import annotations
@@ -139,21 +140,25 @@ def stratum_torus(p: Presentation, w: HPrime) -> Presentation:
     return quotient_presentation(p, w, invertible=True)
 
 
-def commutation_exponent_matrix(torus: Presentation) -> list[list[int]]:
-    """Rows indexed by (generator, symbol), columns by generators.
+def commutation_exponent_matrix(p: Presentation, w: HPrime) -> list[list[int]]:
+    """Distinct nonzero rows, in first-seen order, of the matrix with rows
+    indexed by (surviving generator, symbol) and columns by the survivors.
 
     Entry of row (i, t) at column j is the exponent of symbol t in the
-    scalar q_ij with x_i x_j = q_ij x_j x_i.
+    scalar q_ij with x_i x_j = q_ij x_j x_i.  A zero or repeated row does
+    not change the kernel, so none is kept.
     """
-    check_genericity(torus)
-    n, rules = torus.ngens, torus.rules
-    zero = (0,) * len(torus.context)
-    rows = []
-    for i in range(n):
-        q = [rules[(i, j)].swap.exponents if i > j else zero if i == j
-             else [-e for e in rules[(j, i)].swap.exponents] for j in range(n)]
-        rows.extend(map(list, zip(*q)))
-    return rows
+    check_quantum_affine(p)
+    check_genericity(p)
+    _check_members(p, w)
+    survivors = [i for i in range(p.ngens) if (i + 1) not in w.members]
+    zero = (0,) * len(p.context)
+    rows = {}
+    for i in survivors:
+        q = [p.rules[(i, j)].swap.exponents if i > j else zero if i == j
+             else [-e for e in p.rules[(j, i)].swap.exponents] for j in survivors]
+        rows.update(dict.fromkeys(filter(any, zip(*q))))
+    return [list(row) for row in rows]
 
 
 def is_central(torus: Presentation, e: Element) -> bool:
@@ -165,27 +170,24 @@ class StratumReport:
     """Stratum data for one stable prime of a quantum affine space."""
 
     hprime: HPrime
-    torus: Presentation
-    exponent_matrix: list[list[int]]
+    torus_size: int
     center_rank: int
     center_basis: list[tuple[int, ...]]
 
-    @property
-    def torus_size(self) -> int:
-        return self.torus.ngens
-
 
 def stratum_report(p: Presentation, w: HPrime) -> StratumReport:
-    """Quotient, localize, and compute the stratum center as a lattice kernel."""
-    torus = stratum_torus(p, w)
-    size = torus.ngens
-    mat = commutation_exponent_matrix(torus)
+    """The stratum center as the lattice kernel of the exponent matrix, each
+    kernel monomial checked central in the stratum torus by the engine."""
+    mat = commutation_exponent_matrix(p, w)
+    size = p.ngens - len(w.members)
     basis = lattice.kernel_basis(mat) if mat else \
         [tuple(1 if j == i else 0 for j in range(size)) for i in range(size)]
-    for v in basis:
-        if not is_central(torus, monomial(torus, v)):
-            raise AssertionError("kernel vector is not central in the torus")
-    return StratumReport(w, torus, mat, len(basis), basis)
+    if basis:
+        torus = stratum_torus(p, w)
+        for v in basis:
+            if not is_central(torus, monomial(torus, v)):
+                raise AssertionError("kernel vector is not central in the torus")
+    return StratumReport(w, size, len(basis), basis)
 
 
 def brute_force_central_monomials(torus: Presentation, box: int) -> list[tuple[int, ...]]:

@@ -23,7 +23,7 @@ from strata_lab.qdet import (quantum_determinant, sl_condition,
 from strata_lab.strat import (HPrime, brute_force_central_monomials,
                               hspec_quantum_affine, normal_separation_witness,
                               poset_covers, stratification_axioms_check,
-                              stratum_report)
+                              stratum_report, stratum_torus)
 
 import oracles
 
@@ -131,7 +131,7 @@ def test_criterion_6_stratum_centers():
                 assert rep.center_rank <= rep.torus_size
                 if single:
                     assert rep.center_rank % 2 == rep.torus_size % 2
-                brute = brute_force_central_monomials(rep.torus, 3)
+                brute = brute_force_central_monomials(stratum_torus(p, w), 3)
                 boxed = sorted(
                     v for v in itertools.product(range(-3, 4), repeat=rep.torus_size)
                     if lattice.in_row_span(rep.center_basis, v))

@@ -11,7 +11,9 @@ one error envelope per row of the CLI's error table were recorded before the
 subcommands moved into one command table.  The two `verify --fuel` digests of
 the Euclidean space were recorded while diamond_check still built the
 reducer's pending items itself, before every engine entry point handed the
-reducer scalar-times-word seeds.
+reducer scalar-times-word seeds.  The n = 7 `strata` and `poset` digests, at
+the top of the range the benchmark runs, were recorded while every stratum
+report still built its quotient torus and read the exponent matrix off it.
 """
 
 import hashlib
@@ -27,6 +29,8 @@ SOURCES = {
     "qa3s": "use quantum_affine(n=3, single_param=true)\n",
     "qa4s": "use quantum_affine(n=4, single_param=true)\n",
     "qa5s": "use quantum_affine(n=5, single_param=true)\n",
+    "qa7": "use quantum_affine(n=7)\n",
+    "qa7s": "use quantum_affine(n=7, single_param=true)\n",
     "m33": "use quantum_matrices(m=3, n=3)\n",
     "qw2": "use quantized_weyl(n=2)\n",
     "sp3": "use quantum_symplectic(n=3)\n",
@@ -100,6 +104,10 @@ GOLDEN = {
     ('qa5s', ('witness', '--from', '1', '--to', '1,2,3')): (0, "b5dd8442e6e5d9134ae156597ea3b6e7f1d2caca80d21d72d814d19f0300a8ac"),
     ('qa5s', ('hilbert',)): (0, "a796f82fd483b465b40c5976fe2643577894ef7b0c0b3f6bf19d732e063cb4b5"),
     ('qa5s', ('normalcheck', 'x1*x3')): (0, "1274af61be05955434b5ba63908b489efc07ff574ba7400a950ce79bdd1c6f92"),
+    ('qa7', ('strata',)): (0, "c13278e09e96e3f90c61d99cd2e086f9cd12fbe63ab2588857bcbddbbd96385a"),
+    ('qa7', ('poset',)): (0, "a6310d01414332c13565259c3dc4dc242b7da26b8f6cfe6343b6dcee0146955a"),
+    ('qa7s', ('strata',)): (0, "a1d6b9710577ae80c57176ee052f140d121294eb0507a4e247ec936dca08a15e"),
+    ('qa7s', ('poset',)): (0, "91f8ce4785cb57f09d73151830965949b44d6db5739f7ecede24550f72632c89"),
     ('m33', ('hspec',)): (2, "d6f573f89d21e9540bd4e2849dff9bfc3a57e8fbf7f6b223905450c242fd2f37"),
     ('m33', ('strata', '--box', '1')): (2, "c270a46be65b81de23830326d7034a03d96129f2d28644ca4ce04556e208ec67"),
     ('m33', ('poset',)): (2, "2c29563438bbf90a84c9503657e040855150e5f457591e3d9483e920334c35c8"),

@@ -53,12 +53,19 @@ def larger_matrices(rng, count):
 
 
 def stratum_matrices():
-    """The commutation-exponent matrices `strat` hands to `lattice`: one per
-    stratum torus of generic and single-parameter quantum affine n <= 5.  They
-    are tall and sparse, with zero and repeated rows."""
-    return [strat.commutation_exponent_matrix(strat.stratum_torus(p, w))
-            for build in (zoo.quantum_affine_generic, zoo.quantum_affine_single)
-            for p in map(build, range(6)) for w in strat.hspec_quantum_affine(p)]
+    """The commutation-exponent matrices `strat` hands to `lattice`, one per
+    stratum of generic and single-parameter quantum affine n <= 5 whose matrix
+    has a row, each with an all-zero row and a copy of its first row appended.
+    `strat` keeps only distinct nonzero rows; the two extra rows keep the
+    matrices tall, with zero and repeated rows."""
+    out = []
+    for build in (zoo.quantum_affine_generic, zoo.quantum_affine_single):
+        for p in map(build, range(6)):
+            for w in strat.hspec_quantum_affine(p):
+                A = strat.commutation_exponent_matrix(p, w)
+                if A:
+                    out.append(A + [[0] * len(A[0]), list(A[0])])
+    return out
 
 
 def to_sympy(A):

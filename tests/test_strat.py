@@ -80,6 +80,11 @@ def test_genericity_guard_rejects_signed_scalars():
     p = zoo.quantum_affine(spec)
     with pytest.raises(GenericityUnverified):
         hspec_quantum_affine(p)
+    # the stable primes rest on the parent's genericity, so a stratum whose
+    # survivors commute with positive scalars is refused too
+    for w in (HPrime(()), HPrime((1,))):
+        with pytest.raises(GenericityUnverified):
+            stratum_report(p, w)
 
 
 def test_monomial_prime_oracle_confirms_hspec():
@@ -114,7 +119,8 @@ def test_stratum_ranks_n2_generic(qa2):
 
 def test_stratum_rank1_is_laurent_in_x2(qa2):
     rep = stratum_report(qa2, HPrime((1,)))
-    assert rep.torus.generators == ("x2",)
+    assert rep.torus_size == 1
+    assert stratum_torus(qa2, HPrime((1,))).generators == ("x2",)
     assert rep.center_basis == [(1,)]
 
 
@@ -122,15 +128,16 @@ def test_stratum_n3_single_param(qa3s):
     rep = stratum_report(qa3s, HPrime(()))
     assert rep.center_rank == 1
     assert rep.center_basis == [(1, -1, 1)]
-    assert rep.exponent_matrix == [[0, 1, 1], [-1, 0, 1], [-1, -1, 0]]
+    assert commutation_exponent_matrix(qa3s, HPrime(())) == \
+        [[0, 1, 1], [-1, 0, 1], [-1, -1, 0]]
 
 
 def test_ore_product_is_ordered_monomial(qa3s):
     rep = stratum_report(qa3s, HPrime((2,)))
     assert rep.torus_size == 2
     # the surviving generators in ascending order multiply to an ordered monomial
-    assert multiply(rep.torus, gen(rep.torus, 0), gen(rep.torus, 1)) == \
-        monomial(rep.torus, (1, 1))
+    t = stratum_torus(qa3s, HPrime((2,)))
+    assert multiply(t, gen(t, 0), gen(t, 1)) == monomial(t, (1, 1))
 
 
 def test_brute_force_central_monomials():
@@ -148,7 +155,7 @@ def test_center_basis_matches_brute_force_small():
     for p in (zoo.quantum_affine_generic(3), zoo.quantum_affine_single(3)):
         for w in hspec_quantum_affine(p):
             rep = stratum_report(p, w)
-            brute = brute_force_central_monomials(rep.torus, 2)
+            brute = brute_force_central_monomials(stratum_torus(p, w), 2)
             boxed = [v for v in itertools.product(range(-2, 3), repeat=rep.torus_size)
                      if lattice.in_row_span(rep.center_basis, v)]
             assert sorted(boxed) == brute
@@ -221,8 +228,7 @@ def test_stratification_axioms_up_to_n4():
 
 
 def test_exponent_matrix_rows(qa2):
-    t = stratum_torus(qa2, HPrime(()))
-    assert commutation_exponent_matrix(t) == [[0, 1], [-1, 0]]
+    assert commutation_exponent_matrix(qa2, HPrime(())) == [[0, 1], [-1, 0]]
 
 
 @pytest.mark.parametrize("single", [False, True])
@@ -296,6 +302,26 @@ def test_hspec_checks_all_generator_pairs_once(monkeypatch):
                           {(1, 0): Rule(plane.rules[(1, 0)].swap, one(plane))})
     with pytest.raises(StratError, match=r"rule \(1, 0\) has a tail"):
         hspec_quantum_affine(tailed)
+
+
+def test_trivial_center_builds_no_presentation(monkeypatch):
+    # a stratum torus is built only for the engine check of kernel monomials;
+    # generic strata with no survivor or with two or more have a trivial center
+    import strata_lab.strat as strat
+    p = zoo.quantum_affine_generic(4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trivial center must not build a quotient presentation")
+
+    monkeypatch.setattr(strat, "quotient_presentation", refuse)
+    checked = 0
+    for w in hspec_quantum_affine(p):
+        if p.ngens - len(w.members) != 1:
+            rep = stratum_report(p, w)
+            assert (rep.torus_size, rep.center_rank, rep.center_basis) == \
+                (p.ngens - len(w.members), 0, [])
+            checked += 1
+    assert checked == 12
 
 
 def test_witness_rejects_generators_that_do_not_exist(qa2):
