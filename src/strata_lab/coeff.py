@@ -81,6 +81,22 @@ def sum_text(terms: Mapping[tuple[int, ...], int], names) -> str:
     return " ".join(parts) if parts else "0"
 
 
+def add_terms(out: dict, terms) -> dict:
+    """Add terms, a dict or (exponents, value) pairs, into out and return it:
+    values at equal exponent tuples sum, and a zero sum or value is dropped."""
+    for exp, c in terms.items() if isinstance(terms, dict) else terms:
+        if c:
+            exp = tuple(exp)
+            c0 = out.get(exp)
+            if c0 is None:
+                out[exp] = c
+            elif c0 := c0 + c:
+                out[exp] = c0
+            else:
+                del out[exp]
+    return out
+
+
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
@@ -157,22 +173,11 @@ class Coefficient:
 
     def __init__(self, context: ParamContext, terms=None):
         self.context = context
+        self.terms = add_terms({}, terms) if terms else {}
         width = len(context)
-        clean: dict[tuple[int, ...], int] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for exp, c in items:
-                if not c:
-                    continue
-                exp = tuple(exp)
-                if len(exp) != width:
-                    raise ValueError("exponent width does not match context")
-                c0 = clean.get(exp, 0) + c
-                if c0:
-                    clean[exp] = c0
-                elif exp in clean:
-                    del clean[exp]
-        self.terms = clean
+        for exp in self.terms:  # a dict's keys never cancel, so this sees all of them
+            if len(exp) != width:
+                raise ValueError("exponent width does not match context")
 
     # -- constructors ------------------------------------------------------
 
@@ -210,16 +215,9 @@ class Coefficient:
         raise TypeError(f"cannot combine Coefficient with {type(other).__name__}")
 
     def __add__(self, other) -> "Coefficient":
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            c0 = out.get(exp, 0) + c
-            if c0:
-                out[exp] = c0
-            elif exp in out:
-                del out[exp]
         res = Coefficient.__new__(Coefficient)
-        res.context, res.terms = self.context, out
+        res.context = self.context
+        res.terms = add_terms(dict(self.terms), self._coerce(other).terms)
         return res
 
     __radd__ = __add__

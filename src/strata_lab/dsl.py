@@ -206,14 +206,13 @@ class _ExprParser:
             self.s.next()
             k = self._exponent()
             if t.value in self.gens:
-                k = 1 if k is None else k
                 idx = self.gens[t.value]
-                if k < 0 and not self.invertible[idx]:
+                if k is not None and k < 0 and not self.invertible[idx]:
                     raise NegativeExponent(
                         f"negative power of non-invertible generator {t.value}")
                 exp = [0] * len(self.gens)
-                exp[idx] = k
-                return Element({tuple(exp): Coefficient.one(self.ctx)})
+                exp[idx] = 1
+                return self._power(Element({tuple(exp): Coefficient.one(self.ctx)}), k)
             if t.value in self.ctx:
                 return self._power(self._scalar(Coefficient.symbol(self.ctx, t.value)), k)
             raise DslError(f"unknown symbol {t.value!r}", t.line, t.col)
@@ -228,17 +227,20 @@ class _ExprParser:
         raise DslError(f"unexpected token {t.value!r}", t.line, t.col)
 
     def _power(self, base: Element, k: int | None) -> Element:
-        """base^k, k negative only for a unit scalar.  A scalar is one Coefficient
-        power, refused first if a single term's integer part is too long to print;
-        anything else is multiplied k times, left to right, as if written out."""
+        """base^k, k negative only for a unit scalar or an invertible generator.
+        Zero or one term in at most one generator, such as 1+q, x1 or 2*x1^2, is
+        raised termwise, refused first if a single-term coefficient's integer part
+        is too long to print; no rule applies to a power of one generator.
+        Anything else is multiplied k times, left to right, as if written out."""
         if k is None:
             return base
-        zero = (0,) * len(self.gens)
-        if base.terms.keys() <= {zero}:
-            c = base.terms.get(zero, Coefficient.zero(self.ctx))
-            if len(c.terms) == 1:
-                check_power_digits(next(iter(c.terms.values())), abs(k))
-            return self._scalar(c ** k)
+        terms = base.terms or {(0,) * len(self.gens): Coefficient.zero(self.ctx)}
+        if len(terms) == 1:
+            (exp, c), = terms.items()
+            if sum(map(bool, exp)) <= 1:
+                if len(c.terms) == 1:
+                    check_power_digits(next(iter(c.terms.values())), abs(k))
+                return Element({tuple(e * k for e in exp): c ** k})
         value = self._scalar(Coefficient.one(self.ctx))
         for _ in range(k):
             value = self.product(value, base)

@@ -45,7 +45,7 @@ from math import comb
 from operator import add, sub
 from typing import Mapping, Sequence
 
-from .coeff import Coefficient, ContextMismatch, ParamContext, UnitMonomial
+from .coeff import Coefficient, ContextMismatch, ParamContext, UnitMonomial, add_terms
 
 DEFAULT_FUEL = 10 ** 6
 MAX_WORD_LETTERS = 10 ** 7  # the longest word the engine expands into letters
@@ -79,22 +79,7 @@ class Element:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean: dict[tuple[int, ...], Coefficient] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for exp, c in items:
-                if not c:
-                    continue
-                exp = tuple(exp)
-                if exp in clean:
-                    c = clean[exp] + c
-                    if c:
-                        clean[exp] = c
-                    else:
-                        del clean[exp]
-                else:
-                    clean[exp] = c
-        self.terms = clean
+        self.terms = add_terms({}, terms) if terms else {}
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -108,16 +93,8 @@ class Element:
         return self.terms == other.terms
 
     def __add__(self, other: "Element") -> "Element":
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            c0 = out.get(exp)
-            c = c if c0 is None else c0 + c
-            if c:
-                out[exp] = c
-            elif exp in out:
-                del out[exp]
         res = Element.__new__(Element)
-        res.terms = out
+        res.terms = add_terms(dict(self.terms), other.terms)
         return res
 
     def __neg__(self) -> "Element":
@@ -157,8 +134,7 @@ class Presentation:
     def __init__(self, context: ParamContext, generators: Sequence[str],
                  rules: Mapping[tuple[int, int], Rule],
                  weights: Sequence[Sequence[int]] | None = None,
-                 invertible=False, rank: int | None = None,
-                 name: str = "A", fuel: int = DEFAULT_FUEL):
+                 invertible=False, name: str = "A", fuel: int = DEFAULT_FUEL):
         gens = tuple(generators)
         if len(set(gens)) != len(gens):
             raise PresentationError("duplicate generator names")
@@ -170,8 +146,7 @@ class Presentation:
         wts = tuple(tuple(int(x) for x in w) for w in weights)
         if len(wts) != n:
             raise PresentationError("one weight vector per generator required")
-        if rank is None:
-            rank = len(wts[0]) if n else 0
+        rank = len(wts[0]) if n else 0
         if any(len(w) != rank for w in wts):
             raise PresentationError("weight vectors of unequal rank")
         Fuel(fuel)  # rejects a non-positive budget
@@ -409,7 +384,7 @@ def _multiply_out(p: Presentation, bases: list, finished: dict) -> Element:
     group's shift table is multiplied into it once."""
     unit = {(0,) * len(p.context): 1}
     products: dict = {}
-    out: dict = {}
+    out = []
     for (mono, base, factors), shifts in finished.items():
         c = products.get((base, factors))
         if c is None:
@@ -424,11 +399,8 @@ def _multiply_out(p: Presentation, bases: list, finished: dict) -> Element:
             table = Coefficient.__new__(Coefficient)
             table.context, table.terms = p.context, {s: m for s, m in shifts.items() if m}
             c = c * table
-        prev = out.get(mono)
-        out[mono] = c if prev is None else prev + c
-    res = Element.__new__(Element)
-    res.terms = {mono: c for mono, c in out.items() if c}
-    return res
+        out.append((mono, c))
+    return Element(out)
 
 
 def normal_form(p: Presentation, word, fuel: int | None = None) -> Element:

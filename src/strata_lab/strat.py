@@ -132,7 +132,7 @@ def quotient_presentation(p: Presentation, w: HPrime, invertible: bool = False) 
     kind = "torus" if invertible else "affine"
     name = f"{p.name}_mod_{''.join(str(i) for i in w.members) or '0'}_{kind}"
     return Presentation(p.context, gens, rules, weights, invertible=invertible,
-                        rank=p.rank, name=name, fuel=p.fuel)
+                        name=name, fuel=p.fuel)
 
 
 def stratum_torus(p: Presentation, w: HPrime) -> Presentation:

@@ -173,8 +173,7 @@ def quantum_matrices(m: int, n: int, lam: Coefficient,
                 # same row, mm > j
                 rules[(g2, g1)] = Rule(p.entry(j, mm).as_unit())
     weights = [_vector(m + n, (i, 1), (m + j, 1)) for i in range(m) for j in range(n)]
-    return Presentation(ctx, gens, rules, weights, rank=m + n,
-                        name=f"quantum_matrices_{m}x{n}")
+    return Presentation(ctx, gens, rules, weights, name=f"quantum_matrices_{m}x{n}")
 
 
 def generic_matrix_data(n: int) -> tuple[Coefficient, AntisymmetricMatrixSpec]:
