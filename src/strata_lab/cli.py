@@ -25,6 +25,15 @@ from .pbw import (DEFAULT_FUEL, EngineError, NegativeExponent, PresentationError
                   diamond_check, hilbert_count, order_key)
 
 
+# Largest `hilbert --degree`; on quantum_affine(n=32) it writes about 2.4 MB.
+MAX_DEGREE = 10_000
+# Most points the `strata --box B` searches visit in all: a stratum torus of
+# rank r holds (2B+1)^r, so the strata of n generators hold (2B+2)^n.  A point
+# costs time linear in its exponents, so the slowest accepted search is the
+# one of n = 1, B = 2499.
+MAX_BOX_POINTS = 5_000
+
+
 class Command(NamedTuple):
     """A subcommand.  A "file" command reads a presentation and takes --fuel,
     and its handler gets the Presentation; a "matrix" command takes --n and
@@ -213,6 +222,9 @@ def _cmd_hspec(args, p):
 
 def _cmd_strata(args, p):
     primes = strat.hspec_quantum_affine(p)
+    if args.box and (2 * args.box + 2) ** p.ngens > MAX_BOX_POINTS:
+        raise dsl.DslError(f"--box {args.box} on {p.ngens} generators searches "
+                           f"(2*{args.box}+2)^{p.ngens} points, above the limit {MAX_BOX_POINTS}")
     records = []
     ok = True
     for w in primes:
@@ -322,6 +334,13 @@ def _nonnegative(text: str) -> int:
     return value
 
 
+def _degree(text: str) -> int:
+    value = _nonnegative(text)
+    if value > MAX_DEGREE:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_DEGREE}, got {value}")
+    return value
+
+
 def _matrix_size(text: str) -> int:
     """--n of the matrix commands, bounded as `use quantum_matrices(m=n, n=n)` is."""
     value = _integer(text)
@@ -357,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmds[name].add_argument("expr")
     cmds["nf"].add_argument("--specialize", help="sym=rat,... exact rational evaluation")
     cmds["qdet"].add_argument("--specialize")
-    cmds["hilbert"].add_argument("--degree", type=_nonnegative, default=4)
+    cmds["hilbert"].add_argument("--degree", type=_degree, default=4)
     cmds["strata"].add_argument("--box", type=_nonnegative, default=0,
                                 help="cross-check centers against the engine within this box")
     cmds["center"].add_argument("--hprime", default="",

@@ -14,10 +14,17 @@ Line-oriented source files describe either one explicit presentation
 or one zoo invocation such as ``use quantum_affine(n=2)``.  Expressions use
 integer literals, parameter symbols, generators, ``*``, ``+``, ``-``, ``^``
 with integer exponents, and parentheses.  '#' starts a comment.
+
+Tokens are read by one regular expression.  An integer literal is a run of
+Unicode decimal digits (str.isdecimal); a name is a Unicode letter or '_'
+followed by letters, digits and '_' (str.isalnum); spaces, tabs, carriage
+returns and comments lie between tokens, and any other character is an error
+at its line and column.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from . import zoo
@@ -51,61 +58,35 @@ class Token:
     col: int
 
 
-_OPS = set("*+-=^(),")
+# One alternative per token kind; spaces, tabs, carriage returns and comments
+# match with no group and are dropped.  \d is str.isdecimal and \w is
+# str.isalnum() or "_", so a \w run may start with a digit that is not decimal,
+# such as U+00B2 (superscript two): tokenize checks a name's first character.
+_TOKEN = re.compile(r"[ \t\r]+|#[^\n]*|(?P<NEWLINE>\n)|(?P<INT>\d+)|(?P<NAME>\w+)"
+                    r"|(?P<OP>[-*+=^(),])")
 
 
 def tokenize(text: str) -> list[Token]:
     """Tokens of a source text; an integer literal is decimal digits, no more
-    of them than int() converts."""
+    of them than int() converts, and a name starts with a letter or '_'."""
     limit = max_digits()  # int() converts as many digits as str() prints
     toks: list[Token] = []
-    line = 1
-    col = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if ch == "\n":
-            toks.append(Token("NEWLINE", "\n", line, col))
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            if 0 < limit < j - i:
-                raise DslError(f"integer literal has {j - i} digits, above the limit "
-                               f"{limit}", line, col)
-            toks.append(Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("NAME", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _OPS:
-            toks.append(Token("OP", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise DslError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("EOF", "", line, col))
+    line, bol, pos = 1, 0, 0  # bol: where the current line begins
+    for m in _TOKEN.finditer(text):
+        kind, value, at = m.lastgroup, m.group(), m.start()
+        if at != pos or kind == "NAME" and not (value[0].isalpha() or value[0] == "_"):
+            break  # text[pos] starts no token
+        pos = m.end()
+        if kind == "INT" and 0 < limit < len(value):
+            raise DslError(f"integer literal has {len(value)} digits, above the limit "
+                           f"{limit}", line, at - bol + 1)
+        if kind:
+            toks.append(Token(kind, value, line, at - bol + 1))
+        if kind == "NEWLINE":
+            line, bol = line + 1, pos
+    if pos < len(text):
+        raise DslError(f"unexpected character {text[pos]!r}", line, pos - bol + 1)
+    toks.append(Token("EOF", "", line, pos - bol + 1))
     return toks
 
 
@@ -123,9 +104,18 @@ class _Stream:
             self.i += 1
         return t
 
+    def accept(self, kind: str, values=None) -> Token | None:
+        """The next token, taken, if it is of this kind and its value is in
+        values (a tuple, or a string of one-character operators; any value if
+        None); None otherwise."""
+        t = self.toks[self.i]
+        if t.kind == kind and (values is None or t.value in values):
+            return self.next()
+        return None
+
     def skip_newlines(self):
-        while self.peek().kind == "NEWLINE":
-            self.next()
+        while self.accept("NEWLINE"):
+            pass
 
     def expect(self, kind: str, value: str | None = None) -> Token:
         t = self.peek()
@@ -138,11 +128,9 @@ class _Stream:
         return self.peek().kind in ("NEWLINE", "EOF")
 
     def signed_int(self) -> int:
-        t = self.peek()
-        if t.kind == "OP" and t.value in "+-":
-            self.next()
-            return int(self.expect("INT").value) * (-1 if t.value == "-" else 1)
-        return int(self.expect("INT").value)
+        sign = self.accept("OP", "+-")
+        value = int(self.expect("INT").value)
+        return -value if sign and sign.value == "-" else value
 
 
 # -- expressions ------------------------------------------------------------
@@ -165,45 +153,29 @@ class _ExprParser:
         return Element({(0,) * len(self.gens): c})
 
     def expr(self) -> Element:
-        t = self.s.peek()
-        if t.kind == "OP" and t.value == "-":
-            self.s.next()
-            total = -self._product()
-        else:
-            total = self._product()
-        while True:
-            t = self.s.peek()
-            if t.kind == "OP" and t.value in "+-":
-                self.s.next()
-                rhs = self._product()
-                total = total + rhs if t.value == "+" else total - rhs
-            else:
-                return total
+        total = -self._product() if self.s.accept("OP", "-") else self._product()
+        while t := self.s.accept("OP", "+-"):
+            rhs = self._product()
+            total = total + rhs if t.value == "+" else total - rhs
+        return total
 
     def _product(self) -> Element:
         value = self._factor()
-        while True:
-            t = self.s.peek()
-            if t.kind == "OP" and t.value == "*":
-                self.s.next()
-                value = self.product(value, self._factor())
-            else:
-                return value
+        while self.s.accept("OP", "*"):
+            value = self.product(value, self._factor())
+        return value
 
     def _factor(self) -> Element:
-        t = self.s.peek()
-        if t.kind == "OP" and t.value == "-":
-            self.s.next()
+        if self.s.accept("OP", "-"):
             return -self._factor()
+        t = self.s.next()
         if t.kind == "INT":
-            self.s.next()
             k = self._exponent()
             value = int(t.value)
             if k is not None and k < 0 and value not in (1, -1):
                 raise DslError(f"cannot invert the integer {value}", t.line, t.col)
             return self._power(self._scalar(Coefficient.integer(self.ctx, value)), k)
         if t.kind == "NAME":
-            self.s.next()
             k = self._exponent()
             if t.value in self.gens:
                 idx = self.gens[t.value]
@@ -217,7 +189,6 @@ class _ExprParser:
                 return self._power(self._scalar(Coefficient.symbol(self.ctx, t.value)), k)
             raise DslError(f"unknown symbol {t.value!r}", t.line, t.col)
         if t.kind == "OP" and t.value == "(":
-            self.s.next()
             inner = self.expr()
             self.s.expect("OP", ")")
             k = self._exponent()
@@ -247,11 +218,7 @@ class _ExprParser:
         return value
 
     def _exponent(self) -> int | None:
-        t = self.s.peek()
-        if t.kind == "OP" and t.value == "^":
-            self.s.next()
-            return self.s.signed_int()
-        return None
+        return self.s.signed_int() if self.s.accept("OP", "^") else None
 
 
 def _ordered_product(a: Element, b: Element) -> Element:
@@ -306,8 +273,7 @@ def parse(source: str) -> Presentation:
     """Parse a source file: either one zoo invocation or one explicit presentation."""
     stream = _Stream(tokenize(source))
     stream.skip_newlines()
-    t = stream.peek()
-    if t.kind == "NAME" and t.value == "use":
+    if stream.accept("NAME", ("use",)):
         return _parse_zoo_call(stream)
     return _parse_presentation(stream)
 
@@ -317,7 +283,6 @@ def _parse_zoo_call(stream: _Stream) -> Presentation:
     keyword is an integer literal, the sizes multiply to at most MAX_ZOO_SIZE,
     and single_param is true or false on a family that has a single-parameter
     variant."""
-    stream.expect("NAME", "use")
     fam = stream.expect("NAME")
     if fam.value not in zoo.FAMILIES:
         raise DslError(f"unknown algebra family {fam.value!r}", fam.line, fam.col)
@@ -325,7 +290,7 @@ def _parse_zoo_call(stream: _Stream) -> Presentation:
     stream.expect("OP", "(")
     kwargs: dict[str, object] = {}
     volume = 1
-    while not (stream.peek().kind == "OP" and stream.peek().value == ")"):
+    while not stream.accept("OP", ")"):
         if kwargs:
             stream.expect("OP", ",")
         key = stream.expect("NAME")
@@ -353,7 +318,6 @@ def _parse_zoo_call(stream: _Stream) -> Presentation:
         else:
             raise DslError(f"unknown parameter {key.value!r} for {fam.value}",
                            key.line, key.col)
-    stream.expect("OP", ")")
     stream.skip_newlines()
     stream.expect("EOF")
     for size in sizes:
@@ -373,8 +337,7 @@ def _parse_presentation(stream: _Stream) -> Presentation:
 
     params: list[str] = []
     head = stream.peek()
-    if head.kind == "NAME" and head.value == "params":
-        stream.next()
+    if stream.accept("NAME", ("params",)):
         while not stream.at_line_end():
             params.append(stream.expect("NAME").value)
         stream.skip_newlines()
@@ -385,8 +348,7 @@ def _parse_presentation(stream: _Stream) -> Presentation:
 
     gen_toks: list[Token] = []
     invertible = False
-    if stream.peek().kind == "NAME" and stream.peek().value == "generators":
-        stream.next()
+    if stream.accept("NAME", ("generators",)):
         while not stream.at_line_end():
             gen_toks.append(stream.expect("NAME"))
         if gen_toks and gen_toks[-1].value == "invertible":
@@ -405,12 +367,11 @@ def _parse_presentation(stream: _Stream) -> Presentation:
     n = len(gens)
 
     raw_rules: dict[tuple[int, int], tuple[Element, Token]] = {}
-    if stream.peek().kind == "NAME" and stream.peek().value == "rules":
-        stream.next()
+    if stream.accept("NAME", ("rules",)):
         stream.skip_newlines()
         while stream.peek().kind == "NAME" and stream.peek().value not in _SECTIONS:
-            lhs_tok = stream.peek()
-            a = stream.expect("NAME").value
+            lhs_tok = stream.next()
+            a = lhs_tok.value
             stream.expect("OP", "*")
             b = stream.expect("NAME").value
             stream.expect("OP", "=")
@@ -459,8 +420,7 @@ def _parse_presentation(stream: _Stream) -> Presentation:
                        gen_toks[j].line, gen_toks[j].col)
 
     weights = None
-    if stream.peek().kind == "NAME" and stream.peek().value == "weights":
-        stream.next()
+    if stream.accept("NAME", ("weights",)):
         stream.skip_newlines()
         wmap: dict[int, tuple[int, ...]] = {}
         while stream.peek().kind == "NAME" and stream.peek().value not in _SECTIONS:
@@ -471,12 +431,11 @@ def _parse_presentation(stream: _Stream) -> Presentation:
             stream.expect("OP", "=")
             stream.expect("OP", "(")
             vec = []  # `()` is the weight in a torus of rank 0
-            if not (stream.peek().kind == "OP" and stream.peek().value == ")"):
+            if not stream.accept("OP", ")"):
                 vec.append(stream.signed_int())
-                while stream.peek().kind == "OP" and stream.peek().value == ",":
-                    stream.next()
+                while stream.accept("OP", ","):
                     vec.append(stream.signed_int())
-            stream.expect("OP", ")")
+                stream.expect("OP", ")")
             if gen_index[gtok.value] in wmap:
                 raise DslError(f"duplicate weight for {gtok.value!r}", gtok.line, gtok.col)
             if wmap and len(vec) != rank:

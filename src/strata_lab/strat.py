@@ -20,6 +20,12 @@ from .grading import NormalityCertificate, commutation_products, scalar_normalit
 from .pbw import Element, Presentation, Rule, gen, monomial
 
 
+# Most stable primes hspec_quantum_affine lists: 2^n for n generators, so
+# n <= 12.  At n = 12 the single-parameter `poset`, the slowest command over
+# every prime, takes about 4 s.
+MAX_STABLE_PRIMES = 4096
+
+
 class StratError(Exception):
     pass
 
@@ -90,6 +96,9 @@ def hspec_quantum_affine(p: Presentation) -> list[HPrime]:
     check_quantum_affine(p)
     check_genericity(p)
     n = p.ngens
+    if 2 ** n > MAX_STABLE_PRIMES:
+        raise StratError(f"{n} generators give 2^{n} = {2 ** n} stable primes, above the "
+                         f"limit {MAX_STABLE_PRIMES}")
     return [HPrime(members) for size in range(n + 1)
             for members in itertools.combinations(range(1, n + 1), size)]
 

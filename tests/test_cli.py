@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from strata_lab import cli, dsl, zoo
+from strata_lab import cli, dsl, strat, zoo
 from strata_lab.cli import run
 from strata_lab.coeff import Coefficient
 from strata_lab.dsl import DslError, evaluate_expression, parse, print_presentation
@@ -89,6 +89,7 @@ _RULES = "algebra a\ngenerators x y\nrules\n"
     ("use quantum_matrices(m=0, n=1000)",
      "line 1, col 29: quantum_matrices sizes multiply to 1000, above the limit 32"),
     ("use quantum_affine(n=2 # size", "line 1, col 30: expected ',', found '\\n'"),
+    ("use quantum_affine(n=2 m=3)", "line 1, col 24: expected ',', found 'm'"),
     # explicit presentations: every error of the generators, rules and weights sections
     ("algebra a\ngenerators x x", "line 2, col 14: duplicate generator name 'x'"),
     ("algebra a\ngenerators x y x\nrules\ny * x = x * y",
@@ -98,6 +99,7 @@ _RULES = "algebra a\ngenerators x y\nrules\n"
     (_RULES + "y * x = 2^-1 * x * y", "line 4, col 9: cannot invert the integer 2"),
     (_RULES + "y * x = (x + y)^-1", "line 4, col 9: cannot invert a parenthesized expression"),
     (_RULES + "y * x = x * y y", "line 4, col 15: trailing input 'y'"),
+    (_RULES + "y * x = x * y +", "line 4, col 16: unexpected token '\\n'"),
     (_RULES + "z * x = x * z", "line 4, col 1: rule over unknown generators 'z', 'x'"),
     (_RULES + "x * y = y * x", "line 4, col 1: rules must rewrite a descending product"),
     (_RULES + "y * x = x * y\ny * x = x * y", "line 5, col 1: duplicate rule for pair (y, x)"),
@@ -110,6 +112,10 @@ _RULES = "algebra a\ngenerators x y\nrules\n"
      "line 2, col 14: missing weights for ['y']"),
     (_RULES + "y * x = x * y\nweights\nx = (1, 0)\ny = (1)",
      "line 7, col 1: weight vectors of unequal rank"),
+    (_RULES + "y * x = x * y\nweights\nx = (1 2)\ny = (1, 0)",
+     "line 6, col 8: expected ')', found '2'"),
+    (_RULES + "y * x = x * y\nweights\nx = (1,)\ny = (1)",
+     "line 6, col 8: expected 'INT', found ')'"),
     ("algebra a\ngenerators x y\nweights\nx = (1)\ny = (1)",
      "line 2, col 14: missing rule pair (y, x)"),
     ("algebra a\ngenerators x y invertible\nrules\ny * x = x * y + 1",
@@ -123,6 +129,69 @@ def test_rejected_zoo_calls(tmp_path, capsys, source, message):
     rep = report_of(out)
     assert rep["status"] == "error"
     assert rep["results"]["message"] == message
+
+
+@pytest.mark.parametrize("expr,message", [
+    ("x1^", "line 1, col 4: expected 'INT', found ''"),
+    ("x1^-", "line 1, col 5: expected 'INT', found ''"),
+    ("(x1", "line 1, col 4: expected ')', found ''"),
+])
+def test_rejected_expressions(tmp_path, capsys, expr, message):
+    code, out = invoke(capsys, "nf", write(tmp_path, "use quantum_affine(n=2)\n"), expr)
+    assert code == 2
+    rep = report_of(out)
+    assert rep["status"] == "error"
+    assert rep["results"]["message"] == message
+
+
+def test_tokens_follow_the_lexical_rules():
+    """Random strings over letters, decimal and other digits, operators, blanks
+    and characters no token takes: each token's text sits at its line and
+    column and is as long as it can be, an INT is decimal digits, a NAME
+    starts with a letter or '_', the gaps between tokens hold only spaces,
+    tabs, carriage returns and comments, and an error names the first
+    character that no token or gap covers."""
+    seed = 23
+    print(f"seed {seed}")
+    rng = random.Random(seed)
+    alphabet = "ax_Z09*+-=^(), \t\r\x0b#\n\u00b2\u00bd\u216b\u0663\u03be\u00e9."
+    for _ in range(8000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 24)))
+        starts = [0]  # offset of each line's first character
+        starts += [i + 1 for i, ch in enumerate(text) if ch == "\n"]
+        try:
+            toks = dsl.tokenize(text)
+        except DslError as exc:
+            at = starts[exc.line - 1] + exc.col - 1
+            assert exc.message == f"unexpected character {text[at]!r}", text
+            toks = dsl.tokenize(text[:at])  # all before it is covered
+            bad = text[at]
+            assert not (bad in " \t\r\n#*+-=^()," or bad.isdecimal() or bad.isalpha()
+                        or bad == "_"), text
+            assert "#" not in text[starts[exc.line - 1]:at], text
+            last = toks[-2] if len(toks) > 1 else None
+            if last and starts[last.line - 1] + last.col - 1 + len(last.value) == at:
+                assert not (last.kind == "NAME" and bad.isalnum()), text
+            continue
+        pos = 0
+        for t in toks:
+            at = starts[t.line - 1] + t.col - 1
+            head, _, _ = text[pos:at].partition("#")
+            assert set(head) <= set(" \t\r"), text
+            assert text[at:at + len(t.value)] == t.value, text
+            pos = at + len(t.value)
+            follow = text[pos:pos + 1]
+            if t.kind == "INT":
+                assert t.value.isdecimal() and not follow.isdecimal(), text
+            elif t.kind == "NAME":
+                assert t.value[0].isalpha() or t.value[0] == "_", text
+                assert all(c.isalnum() or c == "_" for c in t.value), text
+                assert not (follow.isalnum() or follow == "_"), text
+            elif t.kind == "OP":
+                assert t.value in "*+-=^(),", text
+            else:
+                assert (t.kind, t.value) in (("NEWLINE", "\n"), ("EOF", "")), text
+        assert toks[-1].kind == "EOF" and pos == len(text), text
 
 
 @pytest.mark.parametrize("sources,build", [
@@ -822,6 +891,46 @@ def test_negative_sizes_are_usage_errors(tmp_path, capsys, argv):
     code, out = invoke(capsys, argv[0], path, *argv[1:])
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("degree", ["10001", "1" + "0" * 29])
+def test_degree_above_the_limit_is_a_usage_error(tmp_path, capsys, degree):
+    path = write(tmp_path, "use quantum_affine(n=2)\n")
+    code = run(["hilbert", path, "--degree", degree])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"--degree: must be at most {cli.MAX_DEGREE}, got {degree}" in captured.err
+    code, out = invoke(capsys, "hilbert", path, "--degree", str(cli.MAX_DEGREE))
+    assert code == 0
+    assert report_of(out)["results"]["counts"][-1]["degree"] == cli.MAX_DEGREE
+
+
+@pytest.mark.parametrize("n,argv,message", [
+    (13, ["hspec"], "13 generators give 2^13 = 8192 stable primes, above the limit 4096"),
+    (32, ["strata"], "32 generators give 2^32 = 4294967296 stable primes, above the limit 4096"),
+    (13, ["poset", "--dot"],
+     "13 generators give 2^13 = 8192 stable primes, above the limit 4096"),
+    (3, ["strata", "--box", "8"],
+     "--box 8 on 3 generators searches (2*8+2)^3 points, above the limit 5000"),
+    (7, ["strata", "--box", "1"],
+     "--box 1 on 7 generators searches (2*1+2)^7 points, above the limit 5000"),
+    (3, ["strata", "--box", "100000"],
+     "--box 100000 on 3 generators searches (2*100000+2)^3 points, above the limit 5000"),
+])
+def test_enumerations_above_their_limits_are_refused(tmp_path, capsys, n, argv, message):
+    path = write(tmp_path, f"use quantum_affine(n={n})\n")
+    code, out = invoke(capsys, argv[0], path, *argv[1:])
+    assert code == 2
+    rep = report_of(out)
+    assert rep["status"] == "error"
+    assert rep["results"]["message"] == message
+
+
+def test_twelve_generators_have_the_most_stable_primes(tmp_path, capsys):
+    code, out = invoke(capsys, "hspec", write(tmp_path, "use quantum_affine(n=12)\n"))
+    assert code == 0
+    assert report_of(out)["results"]["count"] == strat.MAX_STABLE_PRIMES == 2 ** 12
 
 
 # -- one parser per process ------------------------------------------------------
