@@ -11,7 +11,6 @@ from .coeff import (Coefficient, CoeffError, ContextMismatch, NonUnitDivision,
 from .pbw import (DEFAULT_FUEL, Element, EngineError, FuelExhausted,
                   NegativeExponent, OverlapReport, Presentation,
                   PresentationError, Rule, WordTooLong, diamond_check, gen,
-                  hilbert_count, leading_term, monomial, multiply, normal_form,
-                  one)
+                  hilbert_count, leading_term, monomial, multiply, normal_form)
 
 __version__ = "0.1.0"

@@ -406,14 +406,13 @@ def run(argv) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     command = COMMANDS[args.command]
-    if command.input == "file":  # only the file commands take a rewrite budget
+    # only the file commands take a rewrite budget; an explicit --fuel wins
+    if command.input == "file" and args.fuel is None:
         try:
-            default_fuel = int(os.environ.get("STRATA_LAB_FUEL") or DEFAULT_FUEL)
+            args.fuel = int(os.environ.get("STRATA_LAB_FUEL") or DEFAULT_FUEL)
         except ValueError as exc:
             sys.stderr.write(f"strata-lab: bad STRATA_LAB_FUEL value: {exc}\n")
             return 2
-        if args.fuel is None:
-            args.fuel = default_fuel
     source = ""
     try:
         if command.input == "file":

@@ -248,7 +248,8 @@ def _letters(p: Presentation, syllables) -> list[tuple[int, int]]:
     way a word enters the engine, rule tails included.  It first checks that
     each index names a generator, that no non-invertible generator has a
     negative power (NegativeExponent) and that there are at most
-    MAX_WORD_LETTERS letters (WordTooLong).  Nothing checks a word again,
+    MAX_WORD_LETTERS letters (WordTooLong); product checks the length of a
+    concatenation of two such words the same way.  Nothing checks a word again,
     because rewriting keeps it valid: a swap only permutes letters; every tail
     passed this check when Presentation compiled it; and an inverse letter
     belongs to an invertible generator, on whose pairs Presentation allows
@@ -265,16 +266,20 @@ def _letters(p: Presentation, syllables) -> list[tuple[int, int]]:
                 f"negative power of non-invertible generator {p.generators[i]}")
         count += abs(e)
     if count > MAX_WORD_LETTERS:
-        try:
-            text = str(count)
-        except ValueError:  # longer than the interpreter prints
-            text = f"about 2^{count.bit_length()}"
-        raise WordTooLong(f"a word of {text} letters is longer than the limit of "
-                          f"{MAX_WORD_LETTERS} letters")
+        raise _too_long(count)
     out: list[tuple[int, int]] = []
     for i, e in word:
         out.extend([(i, 1 if e > 0 else -1)] * abs(e))
     return out
+
+
+def _too_long(count: int) -> WordTooLong:
+    try:
+        text = str(count)
+    except ValueError:  # longer than the interpreter prints
+        text = f"about 2^{count.bit_length()}"
+    return WordTooLong(f"a word of {text} letters is longer than the limit of "
+                       f"{MAX_WORD_LETTERS} letters")
 
 
 def _reduce(p: Presentation, seeds: list, fuel: Fuel) -> Element:
@@ -413,13 +418,17 @@ def normal_form(p: Presentation, word, fuel: int | None = None) -> Element:
 
 def product(p: Presentation, a: Element, b: Element, fuel: Fuel) -> Element:
     """Reduce every concatenation of a term of a with a term of b, drawing
-    on the caller's budget."""
+    on the caller's budget.  A term pair whose letters add up past
+    MAX_WORD_LETTERS is refused before its concatenation is built."""
     if any(len(exp) != p.ngens for x in (a, b) for exp in x.terms):
         raise PresentationError("element width does not match presentation")
     right = [(cb, _letters(p, enumerate(eb))) for eb, cb in b.terms.items()]
+    longest = max([len(lb) for _, lb in right], default=0)
     seeds = []
     for ea, ca in a.terms.items():
         la = _letters(p, enumerate(ea))
+        if len(la) + longest > MAX_WORD_LETTERS:
+            raise _too_long(len(la) + longest)
         for cb, lb in right:
             seeds.append((ca * cb, la + lb))
     return _reduce(p, seeds, fuel)
@@ -444,10 +453,6 @@ def monomial(p: Presentation, exponents, coeff: Coefficient | None = None) -> El
     if coeff is None:
         coeff = Coefficient.one(p.context)
     return Element({exp: coeff})
-
-
-def one(p: Presentation) -> Element:
-    return monomial(p, (0,) * p.ngens)
 
 
 def gen(p: Presentation, i) -> Element:

@@ -45,9 +45,6 @@ class HPrime:
         if m != tuple(self.members):
             object.__setattr__(self, "members", m)
 
-    def __contains__(self, i: int) -> bool:
-        return i in self.members
-
     def issubset(self, other: "HPrime") -> bool:
         return set(self.members) <= set(other.members)
 
@@ -103,11 +100,6 @@ def hspec_quantum_affine(p: Presentation) -> list[HPrime]:
             for members in itertools.combinations(range(1, n + 1), size)]
 
 
-def _check_members(p: Presentation, w: HPrime) -> None:
-    if any(not 1 <= i <= p.ngens for i in w.members):
-        raise StratError("stable prime indexes generators that do not exist")
-
-
 def poset_covers(primes: Sequence[HPrime]) -> list[tuple[HPrime, HPrime]]:
     """Covering relations of the inclusion poset.
 
@@ -120,54 +112,37 @@ def poset_covers(primes: Sequence[HPrime]) -> list[tuple[HPrime, HPrime]]:
             or any(not 1 <= i <= n for w in primes for i in w.members)):
         raise StratError("stable primes are not all subsets of the generators")
     return [(a, HPrime(a.members + (i,)))
-            for a in primes for i in range(1, n + 1) if i not in a]
+            for a in primes for i in range(1, n + 1) if i not in a.members]
 
 
 # -- quotients, tori, centers ---------------------------------------------------
 
 
-def quotient_presentation(p: Presentation, w: HPrime, invertible: bool = False) -> Presentation:
-    """Quantum affine space (or torus) on the generators outside w."""
-    check_quantum_affine(p)
-    _check_members(p, w)
-    n = p.ngens
-    survivors = [i for i in range(n) if (i + 1) not in w.members]
-    rules = {}
-    for b in range(len(survivors)):
-        for a in range(b):
-            rules[(b, a)] = Rule(p.rules[(survivors[b], survivors[a])].swap)
-    gens = [p.generators[i] for i in survivors]
-    weights = [p.weights[i] for i in survivors]
+def _survivors(p: Presentation, w: HPrime) -> list[int]:
+    """The 0-based indices of the generators outside w, once every index of w
+    is found to name a generator."""
+    if any(not 1 <= i <= p.ngens for i in w.members):
+        raise StratError("stable prime indexes generators that do not exist")
+    return [i for i in range(p.ngens) if i + 1 not in w.members]
+
+
+def _quotient(p: Presentation, w: HPrime, survivors: list[int],
+              invertible: bool) -> Presentation:
+    """Quantum affine space (or torus) on the survivors, the generators outside
+    w, of a parent the caller has checked."""
+    rules = {(b, a): Rule(p.rules[(survivors[b], survivors[a])].swap)
+             for b in range(len(survivors)) for a in range(b)}
     kind = "torus" if invertible else "affine"
     name = f"{p.name}_mod_{''.join(str(i) for i in w.members) or '0'}_{kind}"
-    return Presentation(p.context, gens, rules, weights, invertible=invertible,
+    return Presentation(p.context, [p.generators[i] for i in survivors], rules,
+                        [p.weights[i] for i in survivors], invertible=invertible,
                         name=name, fuel=p.fuel)
 
 
 def stratum_torus(p: Presentation, w: HPrime) -> Presentation:
     """Localization of the quotient at its surviving generators."""
-    return quotient_presentation(p, w, invertible=True)
-
-
-def commutation_exponent_matrix(p: Presentation, w: HPrime) -> list[list[int]]:
-    """Distinct nonzero rows, in first-seen order, of the matrix with rows
-    indexed by (surviving generator, symbol) and columns by the survivors.
-
-    Entry of row (i, t) at column j is the exponent of symbol t in the
-    scalar q_ij with x_i x_j = q_ij x_j x_i.  A zero or repeated row does
-    not change the kernel, so none is kept.
-    """
     check_quantum_affine(p)
-    check_genericity(p)
-    _check_members(p, w)
-    survivors = [i for i in range(p.ngens) if (i + 1) not in w.members]
-    zero = (0,) * len(p.context)
-    rows = {}
-    for i in survivors:
-        q = [p.rules[(i, j)].swap.exponents if i > j else zero if i == j
-             else [-e for e in p.rules[(j, i)].swap.exponents] for j in survivors]
-        rows.update(dict.fromkeys(filter(any, zip(*q))))
-    return [list(row) for row in rows]
+    return _quotient(p, w, _survivors(p, w), True)
 
 
 def is_central(torus: Presentation, e: Element) -> bool:
@@ -185,14 +160,30 @@ class StratumReport:
 
 
 def stratum_report(p: Presentation, w: HPrime) -> StratumReport:
-    """The stratum center as the lattice kernel of the exponent matrix, each
-    kernel monomial checked central in the stratum torus by the engine."""
-    mat = commutation_exponent_matrix(p, w)
-    size = p.ngens - len(w.members)
-    basis = lattice.kernel_basis(mat) if mat else \
+    """The stratum center as the lattice kernel of the commutation exponent
+    matrix of the survivors, each kernel monomial checked central in the
+    stratum torus by the engine.
+
+    The matrix has rows indexed by (survivor i, symbol t) and columns by the
+    survivors; its entry at column j is the exponent of t in the scalar q_ij
+    with x_i x_j = q_ij x_j x_i, read off the parent's swap.  A zero or
+    repeated row does not change the kernel, so only the distinct nonzero
+    rows, in first-seen order, are kept.
+    """
+    check_quantum_affine(p)
+    check_genericity(p)
+    survivors = _survivors(p, w)
+    zero = (0,) * len(p.context)
+    rows = {}
+    for i in survivors:
+        q = [p.rules[(i, j)].swap.exponents if i > j else zero if i == j
+             else [-e for e in p.rules[(j, i)].swap.exponents] for j in survivors]
+        rows.update(dict.fromkeys(filter(any, zip(*q))))
+    size = len(survivors)
+    basis = lattice.kernel_basis([list(row) for row in rows]) if rows else \
         [tuple(1 if j == i else 0 for j in range(size)) for i in range(size)]
     if basis:
-        torus = stratum_torus(p, w)
+        torus = _quotient(p, w, survivors, True)
         for v in basis:
             if not is_central(torus, monomial(torus, v)):
                 raise AssertionError("kernel vector is not central in the torus")
@@ -201,16 +192,12 @@ def stratum_report(p: Presentation, w: HPrime) -> StratumReport:
 
 def brute_force_central_monomials(torus: Presentation, box: int) -> list[tuple[int, ...]]:
     """Engine-level oracle: all exponent vectors in [-box, box]^n whose
-    monomials commute with every generator."""
+    monomials commute with every generator, in increasing order, the order
+    itertools.product yields them in."""
     if box < 0:
         raise ValueError("box must be nonnegative")
-    n = torus.ngens
-    out = []
-    for vec in itertools.product(range(-box, box + 1), repeat=n):
-        if is_central(torus, monomial(torus, vec)):
-            out.append(vec)
-    out.sort()
-    return out
+    return [vec for vec in itertools.product(range(-box, box + 1), repeat=torus.ngens)
+            if is_central(torus, monomial(torus, vec))]
 
 
 # -- separation witnesses --------------------------------------------------------
@@ -227,8 +214,9 @@ def normal_separation_witness(p: Presentation, small: HPrime, large: HPrime) -> 
     """A homogeneous scalar-normal generator separating two comparable primes."""
     if not small.issubset(large) or small == large:
         raise StratError("need a strict inclusion of stable primes")
-    _check_members(p, large)
-    quotient = quotient_presentation(p, small)
+    _survivors(p, large)  # each index of large, so each of small, names a generator
+    check_quantum_affine(p)
+    quotient = _quotient(p, small, _survivors(p, small), False)
     i = min(set(large.members) - set(small.members))
     pos = quotient.gen_index(p.generators[i - 1])
     cert = scalar_normality_check(quotient, gen(quotient, pos))

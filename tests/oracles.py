@@ -1,9 +1,11 @@
 """Independent oracles and random generators shared by the test modules."""
 
+import contextlib
 import itertools
 import random
 from math import comb
 
+from strata_lab import lattice
 from strata_lab.coeff import Coefficient, ParamContext
 from strata_lab.pbw import Element, Presentation, Rule, monomial
 
@@ -75,6 +77,25 @@ def kernel_vectors_in_box(A, box: int) -> list[tuple[int, ...]]:
         if all(sum(a * x for a, x in zip(row, v)) == 0 for row in A):
             out.append(v)
     return sorted(out)
+
+
+@contextlib.contextmanager
+def kernel_calls():
+    """The list of matrices handed to lattice.kernel_basis inside the block;
+    strat.stratum_report hands it each stratum's commutation exponent matrix
+    that has a row."""
+    seen = []
+    original = lattice.kernel_basis
+
+    def record(A):
+        seen.append(A)
+        return original(A)
+
+    lattice.kernel_basis = record
+    try:
+        yield seen
+    finally:
+        lattice.kernel_basis = original
 
 
 def reduce_rightmost(p: Presentation, letters, coeff) -> Element:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from strata_lab import cli, dsl, strat, zoo
+from strata_lab import cli, dsl, pbw, strat, zoo
 from strata_lab.cli import run
 from strata_lab.coeff import Coefficient
 from strata_lab.dsl import DslError, evaluate_expression, parse, print_presentation
@@ -652,6 +652,27 @@ def test_poset_json_and_dot(tmp_path, capsys):
     assert out.count("label=") == 1 and "->" not in out
 
 
+@pytest.mark.parametrize("single", [False, True], ids=["generic", "single"])
+@pytest.mark.parametrize("argv,checks", [
+    (["strata"], 17),             # hspec, then one stratum report per prime
+    (["poset"], 17),
+    (["strata", "--box", "1"], 33),  # and one stratum torus per prime for the box
+    (["center", "--hprime", "1,2,3"], 1),
+    (["witness", "--from", "1", "--to", "1,2"], 1),
+], ids=["strata", "poset", "strata --box", "center", "witness"])
+def test_each_entry_point_checks_the_parent_once(tmp_path, capsys, monkeypatch,
+                                                  argv, checks, single):
+    path = write(tmp_path, f"use quantum_affine(n=4, single_param={str(single).lower()})\n")
+    calls = []
+    check = strat.check_quantum_affine
+    monkeypatch.setattr(strat, "check_quantum_affine", lambda p: calls.append(p) or check(p))
+    code, out = invoke(capsys, argv[0], path, *argv[1:])
+    assert code == 0
+    assert len(calls) == checks
+    if argv[0] == "center":  # the prime's one survivor gives a nonempty center
+        assert report_of(out)["results"]["center_rank"] == 1
+
+
 def test_reports_are_deterministic(tmp_path, capsys):
     path = write(tmp_path, "use quantum_matrices(m=2, n=2)\n")
     code1, out1 = invoke(capsys, "verify", path)
@@ -701,6 +722,16 @@ def test_expression_has_one_budget(tmp_path, capsys):
     code, out = invoke(capsys, "nf", path, "X22*X11 + X22*X11", "--fuel", "1")
     assert code == 1
     assert report_of(out)["results"]["message"] == "rewrite budget exceeded"
+
+
+def test_explicit_fuel_wins_over_a_bad_env_value(tmp_path, capsys, monkeypatch):
+    # the variable is read only when --fuel is absent
+    monkeypatch.setenv("STRATA_LAB_FUEL", "abc")
+    path = write(tmp_path, "use quantum_affine(n=2)\n")
+    code, out = invoke(capsys, "verify", path, "--fuel", "10")
+    assert code == 0
+    assert report_of(out)["status"] == "ok"
+    assert run(["verify", path]) == 2
 
 
 @pytest.mark.parametrize("command", ["qdet", "qdet-verify", "sl-check"])
@@ -873,6 +904,21 @@ def test_words_past_the_letter_limit_fail(tmp_path, capsys, family, expr, letter
     assert rep["status"] == "fail"
     assert rep["results"]["message"] == (f"a word of {letters} letters is longer "
                                          "than the limit of 10000000 letters")
+
+
+def test_products_past_the_letter_limit_fail(tmp_path, capsys, monkeypatch):
+    # each factor fits the limit, their concatenation does not
+    monkeypatch.setattr(pbw, "MAX_WORD_LETTERS", 100)
+    path = write(tmp_path, "use quantum_affine(n=2)\n")
+    code, out = invoke(capsys, "nf", path, "x1^60*x1^60")
+    assert code == 1
+    rep = report_of(out)
+    assert rep["status"] == "fail"
+    assert rep["results"]["message"] == ("a word of 120 letters is longer "
+                                         "than the limit of 100 letters")
+    code, out = invoke(capsys, "nf", path, "x1^50*x1^50")
+    assert code == 0
+    assert report_of(out)["results"]["terms"] == [{"coeff": "1", "monomial": [100, 0]}]
 
 
 @pytest.mark.parametrize("from_set,to_set", [("", "0"), ("1", "1,5"), ("", "3")])

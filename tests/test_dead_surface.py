@@ -1,10 +1,15 @@
 """No dead surface in the library.
 
 Every top-level function, class and constant of src/strata_lab, and every
-public method of a top-level class, is used as an identifier somewhere in
-src/ beyond its definition and the package's re-export, or is used in
-perfbench/, or has a row in ALLOWED saying why it stays.  A name that only
-tests call needs such a row.
+public method of a top-level class, is used somewhere in src/ beyond its
+definition and the package's re-export, or is used in perfbench/, or has a
+row in ALLOWED saying why it stays.  A name that only tests call needs such
+a row.
+
+A top-level name counts as used only as a bare name in its own module or in
+a module that imports it by name, or as `module.name`; a same-named method
+or local elsewhere does not keep it.  A public method counts as used
+wherever its identifier is read, as a name or an attribute.
 """
 
 import ast
@@ -24,19 +29,29 @@ ALLOWED = {
 }
 
 
-def _uses(paths, imports: bool) -> Counter:
-    """Identifiers read in the files: names, attributes and, if imports, the
-    names a `from` import brings in."""
-    seen = Counter()
+def _uses(paths, src) -> tuple[set, Counter]:
+    """The (module, name) pairs the files use, a bare name counting for the
+    module it is imported from and, in a module of src, for its own module;
+    and how often each identifier is read as a name or an attribute."""
+    pairs, seen = set(), Counter()
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {alias.asname or alias.name: (node.module.rpartition(".")[2], alias.name)
+                    for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    and node.module for alias in node.names}
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 seen[node.id] += 1
+                if node.id in imported:
+                    pairs.add(imported[node.id])
+                if path.parent == src:
+                    pairs.add((path.stem, node.id))
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 seen[node.attr] += 1
-            elif isinstance(node, ast.ImportFrom) and imports:
-                seen.update(alias.name for alias in node.names)
-    return seen
+                if isinstance(node.value, (ast.Name, ast.Attribute)):
+                    module = getattr(node.value, "id", None) or node.value.attr
+                    pairs.add((module, node.attr))
+    return pairs, seen
 
 
 def _surface(path):
@@ -56,9 +71,10 @@ def _surface(path):
 
 def dead_names(src=SRC, perfbench=PERFBENCH) -> list[str]:
     modules = [p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
-    used = _uses(modules, False) + _uses(sorted(perfbench.glob("*.py")), True)
+    pairs, seen = _uses(modules + sorted(perfbench.glob("*.py")), src)
     return [name for path in modules for name, ident in _surface(path)
-            if not used[ident] and name not in ALLOWED]
+            if name not in ALLOWED and not (seen[ident] if name.count(".") == 2
+                                            else (path.stem, ident) in pairs)]
 
 
 def test_every_name_is_used_or_allowed():
@@ -70,12 +86,26 @@ def test_every_allowlist_row_names_a_definition():
     assert set(ALLOWED) <= defined
 
 
-def test_a_test_only_helper_is_caught(tmp_path):
-    # grading.homogeneous_components was deleted for having no caller but tests
+def _copy_with(tmp_path, module, text):
+    """A copy of the package with text appended to one module."""
     src = tmp_path / "strata_lab"
     src.mkdir()
     for path in SRC.glob("*.py"):
-        (src / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
-    with open(src / "grading.py", "a", encoding="utf-8") as f:
-        f.write("\n\ndef homogeneous_components(p, a):\n    return {}\n")
+        extra = text if path.stem == module else ""
+        (src / path.name).write_text(path.read_text(encoding="utf-8") + extra,
+                                     encoding="utf-8")
+    return src
+
+
+def test_a_test_only_helper_is_caught(tmp_path):
+    # grading.homogeneous_components was deleted for having no caller but tests
+    src = _copy_with(tmp_path, "grading",
+                     "\n\ndef homogeneous_components(p, a):\n    return {}\n")
     assert dead_names(src) == ["grading.homogeneous_components"]
+
+
+def test_a_name_shared_with_a_method_is_caught(tmp_path):
+    # pbw.one was deleted: only tests called it, while Coefficient.one kept
+    # the identifier `one` in use
+    src = _copy_with(tmp_path, "pbw", "\n\ndef one(p):\n    return monomial(p, (0,) * p.ngens)\n")
+    assert dead_names(src) == ["pbw.one"]

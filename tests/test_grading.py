@@ -6,7 +6,7 @@ from strata_lab import zoo
 from strata_lab.coeff import Coefficient
 from strata_lab.grading import (NormalityCertificate, is_homogeneous,
                                 scalar_normality_check, weight_of)
-from strata_lab.pbw import Element, gen, monomial, multiply, one
+from strata_lab.pbw import Element, gen, monomial, multiply
 from strata_lab.qdet import quantum_determinant, verify_det_normality
 from strata_lab.strat import is_central
 
@@ -79,7 +79,7 @@ def test_determinant_certificate_matches_scalar_table(m2):
 
 
 def test_identity_certificate(m2):
-    cert = scalar_normality_check(m2, one(m2))
+    cert = scalar_normality_check(m2, monomial(m2, (0,) * m2.ngens))
     assert cert is not None
     assert all(mu == Coefficient.one(m2.context) for mu in cert.mus)
 

@@ -15,6 +15,8 @@ from sympy.matrices.normalforms import hermite_normal_form  # noqa: E402
 from strata_lab import strat, zoo  # noqa: E402
 from strata_lab.lattice import det, hnf, kernel_basis, rank  # noqa: E402
 
+import oracles  # noqa: E402
+
 SEED = 53
 EMPTY = [[], [[]], [[], [], []]]  # 0x0, 1x0 and 3x0
 
@@ -53,19 +55,18 @@ def larger_matrices(rng, count):
 
 
 def stratum_matrices():
-    """The commutation-exponent matrices `strat` hands to `lattice`, one per
+    """The commutation-exponent matrices `strat.stratum_report` hands to
+    `lattice.kernel_basis`, recorded as it makes the calls, one per
     stratum of generic and single-parameter quantum affine n <= 5 whose matrix
     has a row, each with an all-zero row and a copy of its first row appended.
     `strat` keeps only distinct nonzero rows; the two extra rows keep the
     matrices tall, with zero and repeated rows."""
-    out = []
-    for build in (zoo.quantum_affine_generic, zoo.quantum_affine_single):
-        for p in map(build, range(6)):
-            for w in strat.hspec_quantum_affine(p):
-                A = strat.commutation_exponent_matrix(p, w)
-                if A:
-                    out.append(A + [[0] * len(A[0]), list(A[0])])
-    return out
+    with oracles.kernel_calls() as seen:
+        for build in (zoo.quantum_affine_generic, zoo.quantum_affine_single):
+            for p in map(build, range(6)):
+                for w in strat.hspec_quantum_affine(p):
+                    strat.stratum_report(p, w)
+    return [A + [[0] * len(A[0]), list(A[0])] for A in seen]
 
 
 def to_sympy(A):

@@ -11,7 +11,7 @@ from strata_lab.grading import is_homogeneous, weight_of
 from strata_lab.pbw import (Element, Fuel, FuelExhausted, NegativeExponent,
                             Presentation, PresentationError, Rule, WordTooLong,
                             diamond_check, gen, hilbert_count, leading_term,
-                            monomial, multiply, normal_form, one, order_key,
+                            monomial, multiply, normal_form, order_key,
                             product)
 
 import oracles
@@ -49,7 +49,7 @@ def test_scale_by_integers_and_zero(plane):
 def test_weyl_pair_rule(weyl1):
     q1 = Coefficient.symbol(weyl1.context, "q_1")
     got = normal_form(weyl1, [("x1", 1), ("y1", 1)])
-    want = monomial(weyl1, (1, 1), q1) + one(weyl1)
+    want = monomial(weyl1, (1, 1), q1) + monomial(weyl1, (0, 0))
     assert got == want
 
 
@@ -65,10 +65,11 @@ def test_matrix_south_east_rule(m2):
 
 def test_multiply_by_one_is_identity(m2):
     rng = random.Random(2)
+    unit = monomial(m2, (0,) * m2.ngens)
     for _ in range(20):
         a = oracles.random_element(m2, rng)
-        assert multiply(m2, a, one(m2)) == a
-        assert multiply(m2, one(m2), a) == a
+        assert multiply(m2, a, unit) == a
+        assert multiply(m2, unit, a) == a
 
 
 def test_multiply_single_swaps(plane):
@@ -317,9 +318,11 @@ def test_letter_limit_counts_every_letter(plane, monkeypatch):
     with pytest.raises(WordTooLong):
         normal_form(plane, [("x2", 4), ("x1", 1)])
     t = zoo.quantum_torus_generic(2)
-    assert multiply(t, monomial(t, (2, -2)), gen(t, "x1"))
-    with pytest.raises(WordTooLong):
-        multiply(t, monomial(t, (2, -3)), gen(t, "x1"))
+    assert multiply(t, monomial(t, (2, -1)), gen(t, "x1"))  # four letters in all
+    # five letters in the product, then five in one factor
+    for exps in ((2, -2), (2, -3)):
+        with pytest.raises(WordTooLong):
+            multiply(t, monomial(t, exps), gen(t, "x1"))
 
 
 def test_torus_words_with_inverses():

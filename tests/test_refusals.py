@@ -54,7 +54,8 @@ CASES = [
     (lambda: plane(tail=Element({(1, 0): Coefficient.one(Q)})), ContextMismatch,
      "tail coefficient over a different context"),
     (lambda: plane().gen_index("z"), PresentationError, "unknown generator 'z'"),
-    (lambda: pbw.multiply(plane(), Element({(1,): Coefficient.one(NONE)}), pbw.one(plane())),
+    (lambda: pbw.multiply(plane(), Element({(1,): Coefficient.one(NONE)}),
+                          pbw.monomial(plane(), (0, 0))),
      PresentationError, "element width does not match presentation"),
     (lambda: pbw.monomial(plane(), (1,)), PresentationError,
      "exponent width does not match presentation"),

@@ -6,15 +6,23 @@ import pytest
 
 from strata_lab import lattice, zoo
 from strata_lab.coeff import Coefficient, ParamContext
-from strata_lab.pbw import Presentation, Rule, gen, monomial, multiply, one
+from strata_lab.pbw import Presentation, Rule, gen, monomial, multiply
 from strata_lab.strat import (GenericityUnverified, HPrime, StratError,
-                              brute_force_central_monomials,
-                              commutation_exponent_matrix, hspec_quantum_affine,
+                              brute_force_central_monomials, hspec_quantum_affine,
                               normal_separation_witness, poset_covers,
-                              quotient_presentation, stratification_axioms_check,
-                              stratum_report, stratum_torus)
+                              stratification_axioms_check, stratum_report,
+                              stratum_torus)
 
 import oracles
+
+
+def exponent_matrix(p, w):
+    """The commutation exponent matrix stratum_report hands to
+    lattice.kernel_basis for w, or None when it has no row to hand."""
+    with oracles.kernel_calls() as seen:
+        stratum_report(p, w)
+    assert len(seen) <= 1
+    return seen[0] if seen else None
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +112,8 @@ def test_monomial_prime_oracle_confirms_hspec():
 
 
 def test_quotient_presentation(qa2):
-    q = quotient_presentation(qa2, HPrime((1,)))
+    # the witness's quotient is the affine space on the generators outside small
+    q = normal_separation_witness(qa2, HPrime((1,)), HPrime((1, 2))).quotient
     assert q.generators == ("x2",)
     assert not q.invertible[0]
     t = stratum_torus(qa2, HPrime((1,)))
@@ -128,7 +137,7 @@ def test_stratum_n3_single_param(qa3s):
     rep = stratum_report(qa3s, HPrime(()))
     assert rep.center_rank == 1
     assert rep.center_basis == [(1, -1, 1)]
-    assert commutation_exponent_matrix(qa3s, HPrime(())) == \
+    assert exponent_matrix(qa3s, HPrime(())) == \
         [[0, 1, 1], [-1, 0, 1], [-1, -1, 0]]
 
 
@@ -228,7 +237,9 @@ def test_stratification_axioms_up_to_n4():
 
 
 def test_exponent_matrix_rows(qa2):
-    assert commutation_exponent_matrix(qa2, HPrime(())) == [[0, 1], [-1, 0]]
+    assert exponent_matrix(qa2, HPrime(())) == [[0, 1], [-1, 0]]
+    # one survivor: its only row is zero, so no matrix reaches the lattice
+    assert exponent_matrix(qa2, HPrime((1,))) is None
 
 
 @pytest.mark.parametrize("single", [False, True])
@@ -252,7 +263,7 @@ def test_witnesses_have_the_closed_form(n, single):
     report = stratification_axioms_check(p)
     assert [w.hprime for w in report.locally_closed] == hspec_quantum_affine(p)
     for w in report.locally_closed:
-        outside = tuple(0 if i in w.hprime else 1 for i in range(1, n + 1))
+        outside = tuple(0 if i in w.hprime.members else 1 for i in range(1, n + 1))
         units = [tuple(1 if t == i - 1 else 0 for t in range(n)) for i in w.hprime.members]
         if any(outside):
             assert w.bigger == tuple(sorted(units + [outside]))
@@ -295,11 +306,12 @@ def test_hspec_checks_all_generator_pairs_once(monkeypatch):
         raise AssertionError("hspec must not rewrite or build quotient presentations")
 
     monkeypatch.setattr(pbw, "_reduce", refuse)
-    monkeypatch.setattr(strat, "quotient_presentation", refuse)
+    monkeypatch.setattr(strat, "_quotient", refuse)
     assert len(hspec_quantum_affine(p)) == 16
     plane = zoo.quantum_affine_generic(2)
+    unit = monomial(plane, (0,) * plane.ngens)
     tailed = Presentation(plane.context, plane.generators,
-                          {(1, 0): Rule(plane.rules[(1, 0)].swap, one(plane))})
+                          {(1, 0): Rule(plane.rules[(1, 0)].swap, unit)})
     with pytest.raises(StratError, match=r"rule \(1, 0\) has a tail"):
         hspec_quantum_affine(tailed)
 
@@ -313,7 +325,7 @@ def test_trivial_center_builds_no_presentation(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a trivial center must not build a quotient presentation")
 
-    monkeypatch.setattr(strat, "quotient_presentation", refuse)
+    monkeypatch.setattr(strat, "_quotient", refuse)
     checked = 0
     for w in hspec_quantum_affine(p):
         if p.ngens - len(w.members) != 1:

@@ -6,7 +6,7 @@ from strata_lab import zoo
 from strata_lab.coeff import Coefficient, ParamContext
 from strata_lab.grading import weight_of
 from strata_lab.pbw import (Element, diamond_check, gen, monomial, multiply,
-                            normal_form, one)
+                            normal_form)
 from strata_lab.zoo import AntisymmetricMatrixSpec, BadMatrix, DegenerateLambda
 
 
@@ -205,11 +205,12 @@ def test_weyl_rules_and_weights():
     q1 = Coefficient.symbol(ctx, "q_1")
     q2 = Coefficient.symbol(ctx, "q_2")
     # x1 y1 -> 1 + q_1 y1 x1
+    unit = monomial(p, (0,) * p.ngens)
     got = normal_form(p, [("x1", 1), ("y1", 1)])
-    assert got == one(p) + monomial(p, (1, 1, 0, 0), q1)
+    assert got == unit + monomial(p, (1, 1, 0, 0), q1)
     # x2 y2 -> 1 + q_2 y2 x2 + (q_1 - 1) y1 x1
     got = normal_form(p, [("x2", 1), ("y2", 1)])
-    want = one(p) + monomial(p, (0, 0, 1, 1), q2) + monomial(p, (1, 1, 0, 0), q1 - 1)
+    want = unit + monomial(p, (0, 0, 1, 1), q2) + monomial(p, (1, 1, 0, 0), q1 - 1)
     assert got == want
     assert weight_of(p, (1, 1, 0, 0)) == (0, 0)  # y1 x1 is invariant
     assert [tuple(w) for w in p.weights] == [(-1, 0), (1, 0), (0, -1), (0, 1)]
@@ -276,7 +277,7 @@ def test_every_rule_is_weight_homogeneous():
 def test_torus_generators_are_invertible():
     t = zoo.quantum_torus_generic(2)
     assert all(t.invertible)
-    assert multiply(t, monomial(t, (1, 0)), monomial(t, (-1, 0))) == one(t)
+    assert multiply(t, monomial(t, (1, 0)), monomial(t, (-1, 0))) == monomial(t, (0, 0))
 
 
 def test_torus_n0_is_the_coefficient_ring():
@@ -284,4 +285,5 @@ def test_torus_n0_is_the_coefficient_ring():
     spec = AntisymmetricMatrixSpec(ctx, 0, {})
     t = zoo.quantum_torus(spec)
     assert t.ngens == 0
-    assert one(t) == monomial(t, ())
+    unit = monomial(t, ())
+    assert multiply(t, unit, unit) == unit
