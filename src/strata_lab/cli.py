@@ -29,8 +29,7 @@ from .pbw import (DEFAULT_FUEL, EngineError, NegativeExponent, PresentationError
 MAX_DEGREE = 10_000
 # Most points the `strata --box B` searches visit in all: a stratum torus of
 # rank r holds (2B+1)^r, so the strata of n generators hold (2B+2)^n.  A point
-# costs time linear in its exponents, so the slowest accepted search is the
-# one of n = 1, B = 2499.
+# costs the same whatever its exponents, so the limit bounds the search time.
 MAX_BOX_POINTS = 5_000
 
 

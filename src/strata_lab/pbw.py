@@ -11,15 +11,16 @@ guaranteeing termination on arbitrary user input.
 Every entry point hands the one reducer, _reduce, seeds: scalar-times-word
 pairs (normal_form its word, product one concatenation per term pair,
 diamond_check the words each side of an overlap holds after its forced first
-rewrite).  Which word is rewritten next, and where, depends only on the
-words: a nonzero coefficient times a swap unit or a tail coefficient is never
-zero, so the coefficients only ride along (Bergman, The diamond lemma for
-ring theory, Adv. Math. 29, 1978).  A pending item carries its coefficient
+rewrite).  A tail-free rule only permutes letters, so a seed that meets no
+tail is one term, x^a x^b = (prod_{j>i} swap_ji^(a_j b_i)) x^(a+b), charged its
+inverted letter pairs (_closed_form); only the others are rewritten.  Which
+word is rewritten next, and where, depends only on the words: a nonzero
+coefficient times a swap unit or a tail coefficient is never zero, so the
+coefficients only ride along (Bergman, The diamond lemma for ring theory,
+Adv. Math. 29, 1978).  A pending item carries its coefficient
 factored: its seed, the sorted tail coefficients it has picked up, and a sign
-and parameter shift that together are the product of its swap units.  A swap
-exchanges two letters in place and resumes the scan one letter to the left,
-so a run of tail-free swaps costs time linear in its length.  Finished words
-are grouped by monomial, seed and tail coefficients, and each group's
+and parameter shift that together are the product of its swap units.  Finished
+words are grouped by monomial, seed and tail coefficients, and each group's
 coefficient is multiplied out once, after the last rewrite.
 
 A word that comes back to a rewrite with a tail within one call, as words
@@ -129,7 +130,7 @@ class Presentation:
     """Ordered generators, descending-pair rules, a torus grading, and a fuel bound."""
 
     __slots__ = ("name", "context", "generators", "invertible", "rules",
-                 "weights", "rank", "fuel", "_gen_index", "_moves", "_factors")
+                 "weights", "rank", "fuel", "_gen_index", "_moves", "_factors", "_tailed")
 
     def __init__(self, context: ParamContext, generators: Sequence[str],
                  rules: Mapping[tuple[int, int], Rule],
@@ -182,20 +183,23 @@ class Presentation:
         self.rank = rank
         self.fuel = fuel
         self._gen_index = {g: k for k, g in enumerate(gens)}
-        # _moves[hi][lo] = (swap sign, swap exponents, ((factor id, tail letters), ...)),
-        # the rule of a descending pair as _reduce applies it and diamond_check
-        # seeds it; _factors[id] is the coefficient of that tail term.
+        # _moves[hi][lo] = (swap sign, swap exponents, ((factor id, tail letters),
+        # ...)), the rule of a descending pair; _factors[id] is the coefficient of
+        # that tail term; bit lo of _tailed[hi] is set when (hi, lo) has a tail.
         self._moves = [[None] * n for _ in range(n)]
         self._factors = []
+        self._tailed = [0] * n
         for (j, i), rule in self.rules.items():
             tails = []
             for exp, c in rule.tail.terms.items():
                 try:
-                    tails.append((len(self._factors), _letters(self, enumerate(exp))))
+                    word, _ = _checked(self, enumerate(exp))
                 except WordTooLong as exc:
                     exc.pair = (j, i)
                     raise
+                tails.append((len(self._factors), [(g, 1) for g, e in word for _ in range(e)]))
                 self._factors.append(c)
+                self._tailed[j] |= 1 << i
             self._moves[j][i] = (rule.swap.sign, rule.swap.exponents, tuple(tails))
 
     @property
@@ -243,34 +247,63 @@ class Fuel:
         self.left = budget
 
 
-def _letters(p: Presentation, syllables) -> list[tuple[int, int]]:
-    """The letters of a word of (generator index, exponent) pairs, the only
-    way a word enters the engine, rule tails included.  It first checks that
-    each index names a generator, that no non-invertible generator has a
-    negative power (NegativeExponent) and that there are at most
-    MAX_WORD_LETTERS letters (WordTooLong); product checks the length of a
-    concatenation of two such words the same way.  Nothing checks a word again,
-    because rewriting keeps it valid: a swap only permutes letters; every tail
-    passed this check when Presentation compiled it; and an inverse letter
-    belongs to an invertible generator, on whose pairs Presentation allows
-    no tail.
-    """
+def _checked(p: Presentation, pairs) -> tuple[list[tuple[int, int]], int]:
+    """A word's (generator index, nonzero exponent) pairs and its number of
+    letters, counted, not built: the one check of a word entering the engine,
+    tails included (index range, NegativeExponent, then WordTooLong; product
+    checks a term pair's total alike).  Rewriting keeps a word valid: swaps only
+    permute letters, tails passed this check, and inverse letters meet no tail."""
     n = len(p.generators)
-    word = [(i, e) for i, e in syllables if e or not 0 <= i < n]  # a bad index stays
-    count = 0
-    for i, e in word:
+    word, count = [], 0
+    for i, e in pairs:
         if not 0 <= i < n:
             raise PresentationError(f"generator index {i} out of range")
-        if e < 0 and not p.invertible[i]:
-            raise NegativeExponent(
-                f"negative power of non-invertible generator {p.generators[i]}")
-        count += abs(e)
+        if e:
+            if e < 0 and not p.invertible[i]:
+                raise NegativeExponent(
+                    f"negative power of non-invertible generator {p.generators[i]}")
+            word.append((i, e))
+            count += abs(e)
     if count > MAX_WORD_LETTERS:
         raise _too_long(count)
-    out: list[tuple[int, int]] = []
-    for i, e in word:
-        out.extend([(i, 1 if e > 0 else -1)] * abs(e))
-    return out
+    return word, count
+
+
+def _closed_form(p: Presentation, c: Coefficient, word, fuel: Fuel):
+    """The one term (exponents, coefficient) of c times a checked word that meets
+    only tail-free rules, charging the fuel its inverted letter pairs, the swaps
+    of the leftmost reduction; None, charging nothing, when a tail is met (one
+    bitmask AND per syllable).  x_j^e before x_i^f, j > i, gives swap_ji^(e f)."""
+    n, tailed, moves = p.ngens, p._tailed, p._moves
+    reach = 0  # the generators a tail lies below
+    for i, _ in word:
+        if reach >> i & 1:
+            return None
+        reach |= tailed[i]
+    net, tot = [0] * n, [0] * n  # signed and absolute letter counts so far
+    seen = count = 0
+    sign, shift = 1, [0] * len(p.context)
+    for i, f in word:
+        for j in range(i + 1, seen.bit_length()):
+            if tot[j]:
+                usign, uexps, _ = moves[j][i]
+                pairs = tot[j] * abs(f)
+                count += pairs
+                sign *= usign if pairs & 1 else 1
+                for k in itertools.compress(range(len(uexps)), uexps):
+                    shift[k] += net[j] * f * uexps[k]
+        net[i] += f
+        tot[i] += abs(f)
+        seen |= 1 << i
+    fuel.left -= count
+    if fuel.left < 0:
+        raise FuelExhausted("rewrite budget exceeded")
+    if sign == 1 and not any(shift):
+        return tuple(net), c
+    term = Coefficient.__new__(Coefficient)
+    term.context = p.context
+    term.terms = {tuple(map(add, e, shift)): sign * v for e, v in c.terms.items()}
+    return tuple(net), term
 
 
 def _too_long(count: int) -> WordTooLong:
@@ -283,31 +316,37 @@ def _too_long(count: int) -> WordTooLong:
 
 
 def _reduce(p: Presentation, seeds: list, fuel: Fuel) -> Element:
-    """The normal form of the sum of seeds, (Coefficient, letter list) pairs
-    whose lists it takes over.  A pending item (base, factors, sign, shift,
-    word, resume) is seeds[base]'s scalar times p._factors[f] for f in the
-    sorted tuple factors, times sign * (parameters ** shift), times word, which
-    is ordered before position resume.  A rewrite pushes the swapped item, then
-    one item per tail term, so the tails are reduced first.
+    """The normal form of the sum of seeds, (Coefficient, checked word) pairs; a
+    word that meets a tail is expanded into letters and rewritten.  A pending
+    item (base, factors, sign, shift, word, resume) is seeds[base]'s scalar
+    times p._factors[f] for f in the sorted tuple factors, times sign *
+    (parameters ** shift), times word, ordered before position resume; a
+    rewrite pushes the swapped item, then one per tail term, so tails go first.
 
     The memo (see the module docstring) keeps only the hash of a word at its
-    first visit.  The next visit opens the word's entry, reduced from
-    coefficient 1 into finished groups of its own; its count is the fuel
-    spent until the entry closes.  Entries nest on a stack, not on the
-    interpreter's.
+    first visit; the next visit opens the word's entry, reduced from coefficient
+    1 into finished groups of its own, whose count is the fuel spent until it
+    closes.  Entries nest on a stack, not on the interpreter's.
     """
-    n = p.ngens
-    moves = p._moves
     zero = (0,) * len(p.context)
-    pending = []
-    for base, (_, letters) in enumerate(seeds):
+    pending, done = [], []  # done: the terms _closed_form finishes
+    for base, (c, word) in enumerate(seeds):
+        term = _closed_form(p, c, word, fuel)
+        if term is not None:
+            done.append(term)
+            continue
+        letters = []
+        for i, e in word:  # a word that meets a tail has no inverse letter
+            letters.extend([(i, 1)] * e)
         pending.append((base, (), 1, zero, letters, 0))
+    if not pending:
+        return Element(done)
+    n, moves = p.ngens, p._moves
     finished: dict = {}  # (monomial, base, factors) -> {shift: summed sign}
-    # Only a presentation with tails keeps a memo: seen holds the hashes of the
-    # words that reached a rewrite with a tail, memo maps a word seen again to
-    # (rewrite count, finished groups), and entries holds the open entries as
-    # (word, fuel left, visiting item, outer pending, outer finished).
-    seen, memo, entries = (set(), {}, []) if p._factors else (None, None, None)
+    # seen: the hashes of the words that reached a rewrite with a tail; memo: a
+    # word seen again -> (rewrite count, finished groups); entries: the open
+    # entries as (word, fuel left, visiting item, outer pending, outer finished).
+    seen, memo, entries = set(), {}, []
     while True:
         while pending:
             base, factors, sign, shift, word, resume = pending.pop()
@@ -358,7 +397,7 @@ def _reduce(p: Presentation, seeds: list, fuel: Fuel) -> Element:
                 else:
                     shifts[shift] = shifts.get(shift, 0) + sign
         if not entries:
-            return _multiply_out(p, [c for c, _ in seeds], finished)
+            return _multiply_out(p, [c for c, _ in seeds], finished, done)
         key, left, item, pending, outer = entries.pop()
         memo[key] = (left - fuel.left, finished)
         _absorb(outer, finished, *item)
@@ -383,13 +422,12 @@ def _absorb(finished: dict, groups: dict, base, factors, sign, shift):
             table[s] = table.get(s, 0) + sign * m
 
 
-def _multiply_out(p: Presentation, bases: list, finished: dict) -> Element:
-    """Sum the finished words: each distinct base * product of factors is
-    computed once, extending the longest product already known, and each
-    group's shift table is multiplied into it once."""
+def _multiply_out(p: Presentation, bases: list, finished: dict, out: list) -> Element:
+    """Sum the terms out and the finished words: each distinct base * product
+    of factors is computed once, extending the longest product already known,
+    and each group's shift table is multiplied into it once."""
     unit = {(0,) * len(p.context): 1}
     products: dict = {}
-    out = []
     for (mono, base, factors), shifts in finished.items():
         c = products.get((base, factors))
         if c is None:
@@ -410,27 +448,27 @@ def _multiply_out(p: Presentation, bases: list, finished: dict) -> Element:
 
 def normal_form(p: Presentation, word, fuel: int | None = None) -> Element:
     """Reduce a word (list of (generator, exponent) pairs) to its normal form."""
-    letters = _letters(p, [(p.gen_index(g) if isinstance(g, str) else int(g), int(e))
+    word, _ = _checked(p, [(p.gen_index(g) if isinstance(g, str) else int(g), int(e))
                            for g, e in word])
     budget = Fuel(p.fuel if fuel is None else fuel)
-    return _reduce(p, [(Coefficient.one(p.context), letters)], budget)
+    return _reduce(p, [(Coefficient.one(p.context), word)], budget)
 
 
 def product(p: Presentation, a: Element, b: Element, fuel: Fuel) -> Element:
     """Reduce every concatenation of a term of a with a term of b, drawing
     on the caller's budget.  A term pair whose letters add up past
-    MAX_WORD_LETTERS is refused before its concatenation is built."""
+    MAX_WORD_LETTERS is refused before any letter is built; a pair that meets
+    no tail is multiplied in closed form."""
     if any(len(exp) != p.ngens for x in (a, b) for exp in x.terms):
         raise PresentationError("element width does not match presentation")
-    right = [(cb, _letters(p, enumerate(eb))) for eb, cb in b.terms.items()]
-    longest = max([len(lb) for _, lb in right], default=0)
+    right = [(cb, *_checked(p, enumerate(eb))) for eb, cb in b.terms.items()]
+    longest = max([k for *_, k in right], default=0)
     seeds = []
     for ea, ca in a.terms.items():
-        la = _letters(p, enumerate(ea))
-        if len(la) + longest > MAX_WORD_LETTERS:
-            raise _too_long(len(la) + longest)
-        for cb, lb in right:
-            seeds.append((ca * cb, la + lb))
+        wa, count = _checked(p, enumerate(ea))
+        if count + longest > MAX_WORD_LETTERS:
+            raise _too_long(count + longest)
+        seeds += [(ca * cb, wa + wb) for cb, wb, _ in right]
     return _reduce(p, seeds, fuel)
 
 

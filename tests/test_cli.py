@@ -921,6 +921,18 @@ def test_products_past_the_letter_limit_fail(tmp_path, capsys, monkeypatch):
     assert report_of(out)["results"]["terms"] == [{"coeff": "1", "monomial": [100, 0]}]
 
 
+def test_a_million_swaps_fit_a_budget_of_a_million(tmp_path, capsys):
+    # x2^1000000*x1 is one closed-form product of 10^6 letter swaps
+    path = write(tmp_path, "use quantum_affine(n=2)\n")
+    code, out = invoke(capsys, "nf", path, "x2^1000000*x1")
+    assert code == 0
+    assert report_of(out)["results"]["terms"] == [
+        {"coeff": "q_1_2^-1000000", "monomial": [1, 1000000]}]
+    code, out = invoke(capsys, "nf", path, "x2^1000000*x1", "--fuel", "999999")
+    assert code == 1
+    assert report_of(out)["results"]["message"] == "rewrite budget exceeded"
+
+
 @pytest.mark.parametrize("from_set,to_set", [("", "0"), ("1", "1,5"), ("", "3")])
 def test_witness_rejects_missing_generators(tmp_path, capsys, from_set, to_set):
     path = write(tmp_path, "use quantum_affine(n=2)\n")

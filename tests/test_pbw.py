@@ -1,11 +1,13 @@
 import itertools
 import random
 import sys
+import time
+import tracemalloc
 import zlib
 
 import pytest
 
-from strata_lab import pbw, zoo
+from strata_lab import dsl, pbw, strat, zoo
 from strata_lab.coeff import Coefficient, ParamContext, UnitMonomial
 from strata_lab.grading import is_homogeneous, weight_of
 from strata_lab.pbw import (Element, Fuel, FuelExhausted, NegativeExponent,
@@ -346,7 +348,7 @@ def test_presentation_validation():
     rules = {(1, 0): Rule(UnitMonomial(1, (0,)), Element({(1, 1): Coefficient.one(ctx)}))}
     with pytest.raises(PresentationError):
         Presentation(ctx, ["x1", "x2"], rules, invertible=True)  # tail on invertible pair
-    # a tail's powers are checked where the tail enters the engine, by _letters
+    # a tail's powers are checked where the tail enters the engine, by _checked
     rules = {(1, 0): Rule(UnitMonomial(1, (0,)), Element({(-1, 1): Coefficient.one(ctx)}))}
     with pytest.raises(NegativeExponent, match="generator x1$"):
         Presentation(ctx, ["x1", "x2"], rules)
@@ -441,6 +443,7 @@ def test_fuel_boundary_is_the_leftmost_rewrite_count(family):
 
 
 OVERLAP_FAMILIES = {
+    "quantum_affine_generic(4)": lambda: zoo.quantum_affine_generic(4),  # no tails
     "quantum_euclidean(5)": lambda: zoo.quantum_euclidean(5),
     "quantum_matrices_generic(3, 3)": lambda: zoo.quantum_matrices_generic(3, 3),
     "quantized_weyl_generic(2)": lambda: zoo.quantized_weyl_generic(2),
@@ -546,8 +549,8 @@ def test_long_tailed_words_match_the_rightmost_reducer(n, power, terms):
 
 
 def test_tail_free_runs_cost_one_rewrite_each():
-    # x2^k x1 = q^-k x1 x2^k takes k swaps; the engine does them in place,
-    # so a long word costs time linear in k
+    # x2^k x1 = q^-k x1 x2^k takes k swaps; the closed form charges them at
+    # once, so a long word costs no time in k past the length check
     plane = zoo.quantum_affine_single(2)
     k = 20000
     q = Coefficient.symbol(plane.context, "q")
@@ -573,3 +576,165 @@ def test_swap_signs_survive_every_swap():
     for _ in range(40):
         letters = [(rng.randrange(3), rng.choice((1, -1))) for _ in range(rng.randint(2, 8))]
         assert normal_form(skew, letters) == oracles.reduce_rightmost(skew, letters, unit), letters
+
+
+# -- the closed form of tail-free words ----------------------------------------
+
+
+def _letters_of(word):
+    return [(i, 1 if e > 0 else -1) for i, e in word for _ in range(abs(e))]
+
+
+def _closed_form_element(p, word, fuel):
+    term = pbw._closed_form(p, Coefficient.one(p.context), word, fuel)
+    return None if term is None else Element([term])
+
+
+def _assert_closed_form_is_the_reduction(p, word):
+    """The closed form of a tail-free word equals the rightmost reducer's
+    answer, and it charges exactly the leftmost rewrite count: the budget
+    suffices at that count and not one below it."""
+    letters = _letters_of(word)
+    count = oracles.leftmost_rewrites(p, letters)
+    want = oracles.reduce_rightmost(p, letters, Coefficient.one(p.context))
+    budget = Fuel(count + 1)
+    assert _closed_form_element(p, word, budget) == want, word
+    assert budget.left == 1, (word, count)
+    assert normal_form(p, word, fuel=max(count, 1)) == want, word
+    budget.left = count - 1
+    if count:
+        with pytest.raises(FuelExhausted):
+            pbw._closed_form(p, Coefficient.one(p.context), word, budget)
+
+
+def _random_word(p, rng, syllables=6, power=3):
+    word = []
+    for _ in range(rng.randint(1, syllables)):
+        i = rng.randrange(p.ngens)
+        e = rng.randint(1, power) * (rng.choice((1, -1)) if p.invertible[i] else 1)
+        word.append((i, e))
+    return word
+
+
+@pytest.mark.parametrize("build, n", [(zoo.quantum_torus_generic, n) for n in (2, 3, 4)]
+                         + [(zoo.quantum_torus_single, n) for n in (2, 4)])
+def test_closed_form_matches_the_oracles_on_torus_words(build, n):
+    # repeated generators and inverse letters: x_j^e x_j^-e meets each lower
+    # letter twice, so it costs two swaps per lower letter whose units cancel
+    p = build(n)
+    seed = zlib.crc32(f"{build.__name__}({n})".encode())
+    print(f"seed {seed}")
+    rng = random.Random(seed)
+    for _ in range(60):
+        _assert_closed_form_is_the_reduction(p, _random_word(p, rng))
+    word = [(1, 1), (1, -1), (0, 1)]
+    assert oracles.leftmost_rewrites(p, _letters_of(word)) == 2
+    assert normal_form(p, word, fuel=2) == gen(p, 0)
+    with pytest.raises(FuelExhausted):
+        normal_form(p, word, fuel=1)
+
+
+def test_closed_form_takes_each_swap_sign_once_per_letter_pair():
+    # swaps of sign -1 on two of the three pairs: a pair of syllables x_j^e,
+    # x_i^f (j > i) flips the sign |e f| times, so x2^2 x1^3 keeps it and
+    # x2^3 x1^3 flips it
+    t = zoo.quantum_torus_generic(3)
+    rules = {(j, i): Rule(UnitMonomial(-r.swap.sign if j - i == 1 else r.swap.sign,
+                                       r.swap.exponents))
+             for (j, i), r in t.rules.items()}
+    mixed = Presentation(t.context, t.generators, rules, t.weights, invertible=True,
+                         name="mixed")
+    q = Coefficient.symbol(mixed.context, "q_1_2")
+    assert normal_form(mixed, [(1, 2), (0, 3)]) == monomial(mixed, (3, 2, 0), q ** -6)
+    assert normal_form(mixed, [(1, 3), (0, 3)]) == monomial(mixed, (3, 3, 0), -(q ** -9))
+    seed = 4099
+    print(f"seed {seed}")
+    rng = random.Random(seed)
+    for _ in range(80):
+        _assert_closed_form_is_the_reduction(mixed, _random_word(mixed, rng))
+
+
+@pytest.mark.parametrize("family", ["quantum_matrices_single(2, 3)",
+                                    "quantized_weyl_generic(2)", "quantum_euclidean(4)"])
+def test_products_mixing_closed_form_and_rewriting_match_the_oracles(family, monkeypatch):
+    # some term pairs meet only tail-free rules and are multiplied in closed
+    # form, the others are rewritten; one budget pays for both exactly
+    p = ZOO_FAMILIES[family]()
+    taken = _closed_form_spy(monkeypatch)
+    seed = zlib.crc32(family.encode())
+    print(f"seed {seed}")
+    rng = random.Random(seed)
+    for _ in range(25):
+        a = oracles.random_element(p, rng, max_terms=3, max_total=2, nonzero=True)
+        b = oracles.random_element(p, rng, max_terms=3, max_total=2, nonzero=True)
+        want, count = Element(), 0
+        for ea, ca in a.terms.items():
+            for eb, cb in b.terms.items():
+                letters = _letters_of(enumerate(ea)) + _letters_of(enumerate(eb))
+                want = want + oracles.reduce_rightmost(p, letters, ca * cb)
+                count += oracles.leftmost_rewrites(p, letters)
+        budget = Fuel(count + 1)
+        assert product(p, a, b, budget) == want
+        assert budget.left == 1
+        if count:
+            budget.left = count - 1
+            with pytest.raises(FuelExhausted):
+                product(p, a, b, budget)
+    assert any(taken) and not all(taken)
+
+
+def _closed_form_spy(monkeypatch):
+    """The list of whether each seed was finished in closed form."""
+    taken = []
+    closed_form = pbw._closed_form
+
+    def spy(p, c, word, fuel):
+        term = closed_form(p, c, word, fuel)
+        taken.append(term is not None)
+        return term
+
+    monkeypatch.setattr(pbw, "_closed_form", spy)
+    return taken
+
+
+def test_tail_free_words_are_never_rewritten(monkeypatch):
+    # the closed form answers every tail-free word, at a cost flat in k past
+    # the length check: no letter list is built, nothing is rewritten
+    taken = _closed_form_spy(monkeypatch)
+    plane, torus = zoo.quantum_affine_generic(2), zoo.quantum_torus_generic(2)
+    swap = plane.rules[(1, 0)].swap.to_coefficient(plane.context)
+    for k in (10 ** 3, 10 ** 6):
+        want = monomial(plane, (1, k), swap ** k)
+        assert normal_form(plane, [("x2", k), ("x1", 1)], fuel=k) == want
+        assert multiply(plane, monomial(plane, (0, k)), gen(plane, "x1"), fuel=k) == want
+        assert not strat.is_central(torus, monomial(torus, (k, -k)))
+        assert strat.is_central(torus, monomial(torus, (0, 0)))
+    reports = diamond_check(zoo.quantum_affine_generic(5))
+    assert len(reports) == 10 and all(r.resolved for r in reports)
+    assert len(taken) == 2 * 8 + 2 * 10 and all(taken)
+
+
+def test_a_long_tail_free_product_costs_its_swaps_exactly(plane):
+    # x2^(10^6) * x1 is 10^6 swaps, charged at once
+    k = 10 ** 6
+    a, x1 = monomial(plane, (0, k)), gen(plane, "x1")
+    start = time.perf_counter()
+    got = multiply(plane, a, x1, fuel=k)
+    with pytest.raises(FuelExhausted):
+        multiply(plane, a, x1, fuel=k - 1)
+    assert time.perf_counter() - start < 1.0
+    swap = plane.rules[(1, 0)].swap.to_coefficient(plane.context)
+    assert got == monomial(plane, (1, k), swap ** k)
+
+
+def test_product_counts_letters_before_building_any(plane):
+    # each factor fits the letter limit, the pair does not: refused before
+    # either factor's 10^7 letters are built
+    tracemalloc.start()
+    try:
+        with pytest.raises(WordTooLong, match="^a word of 19999998 letters"):
+            dsl.evaluate_expression(plane, "x1^9999999*x1^9999999")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20, peak
