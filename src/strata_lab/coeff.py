@@ -137,9 +137,6 @@ class ParamContext:
     def __hash__(self) -> int:
         return hash(self.symbols)
 
-    def __repr__(self) -> str:
-        return f"ParamContext({', '.join(self.symbols)})"
-
 
 @dataclass(frozen=True)
 class UnitMonomial:
@@ -269,8 +266,6 @@ class Coefficient:
     def scale_unit(self, unit: UnitMonomial, power: int = 1) -> "Coefficient":
         """Multiply by unit**power without the general product; the reference
         oracles use it, the rewriting engine does not."""
-        if power == 0:
-            return self
         shift = tuple(e * power for e in unit.exponents)
         sign = unit.sign if power % 2 else 1
         res = Coefficient.__new__(Coefficient)
@@ -287,9 +282,8 @@ class Coefficient:
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             other = Coefficient.integer(self.context, other)
-        if not isinstance(other, Coefficient):
-            return NotImplemented
-        return self.context == other.context and self.terms == other.terms
+        return (isinstance(other, Coefficient) and self.context == other.context
+                and self.terms == other.terms)
 
     def __hash__(self) -> int:
         return hash((self.context, frozenset(self.terms.items())))

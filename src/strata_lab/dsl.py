@@ -324,10 +324,7 @@ def _parse_zoo_call(stream: _Stream) -> Presentation:
         if size not in kwargs:
             raise DslError(f"{fam.value} needs {size}=<int>", fam.line, fam.col)
     build = single if kwargs.pop("single_param", False) else generic
-    try:
-        return build(**kwargs)
-    except zoo.ZooError as exc:
-        raise DslError(str(exc), fam.line, fam.col) from exc
+    return build(**kwargs)  # no size the checks above pass makes a family refuse
 
 
 def _parse_presentation(stream: _Stream) -> Presentation:

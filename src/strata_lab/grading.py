@@ -73,14 +73,13 @@ def scalar_normality_check(p: Presentation, c: Element) -> NormalityCertificate 
         raise ValueError("zero element")
     mus = []
     for left, right in commutation_products(p, c):
-        if not left and not right:
-            mus.append(Coefficient.one(p.context))
-            continue
         if left.terms.keys() != right.terms.keys():
             return None
-        exp0 = max(right.terms, key=order_key)
-        ca, cb = left.terms[exp0], right.terms[exp0]
-        mu = ca.leading_term_ratio(cb)
+        mu = Coefficient.one(p.context)  # c*g = g*c = 0 holds for every mu
+        if right:
+            exp0 = max(right.terms, key=order_key)
+            ca, cb = left.terms[exp0], right.terms[exp0]
+            mu = ca.leading_term_ratio(cb)
         if mu is not None and left == right.scale(mu):
             mus.append(mu)
             continue

@@ -13,15 +13,17 @@ pairs (normal_form its word, product one concatenation per term pair,
 diamond_check the words each side of an overlap holds after its forced first
 rewrite).  A tail-free rule only permutes letters, so a seed that meets no
 tail is one term, x^a x^b = (prod_{j>i} swap_ji^(a_j b_i)) x^(a+b), charged its
-inverted letter pairs (_closed_form); only the others are rewritten.  Which
-word is rewritten next, and where, depends only on the words: a nonzero
-coefficient times a swap unit or a tail coefficient is never zero, so the
-coefficients only ride along (Bergman, The diamond lemma for ring theory,
-Adv. Math. 29, 1978).  A pending item carries its coefficient
-factored: its seed, the sorted tail coefficients it has picked up, and a sign
-and parameter shift that together are the product of its swap units.  Finished
-words are grouped by monomial, seed and tail coefficients, and each group's
-coefficient is multiplied out once, after the last rewrite.
+inverted letter pairs (_closed_form); only the others are rewritten, each as a
+list of generator indices, one per letter: a tail makes its presentation
+polynomial, so every letter is a generator to the first power.  Which word is
+rewritten next, and where, depends only on the words: a nonzero coefficient
+times a swap unit or a tail coefficient is never zero, so the coefficients
+only ride along (Bergman, The diamond lemma for ring theory, Adv. Math. 29,
+1978).  A pending item carries its coefficient factored: its seed, the sorted
+tail coefficients it has picked up, and a sign and parameter shift that
+together are the product of its swap units.  Finished words are grouped by
+monomial, seed and tail coefficients, and each group's coefficient is
+multiplied out once, after the last rewrite.
 
 A word that comes back to a rewrite with a tail within one call, as words
 do in quantum matrices, Weyl, symplectic and Euclidean spaces, is reduced
@@ -43,7 +45,7 @@ import copy
 import itertools
 from dataclasses import dataclass, field
 from math import comb
-from operator import add, sub
+from operator import add
 from typing import Mapping, Sequence
 
 from .coeff import Coefficient, ContextMismatch, ParamContext, UnitMonomial, add_terms
@@ -89,9 +91,7 @@ class Element:
         return len(self.terms)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.terms == other.terms
+        return isinstance(other, Element) and self.terms == other.terms
 
     def __add__(self, other: "Element") -> "Element":
         res = Element.__new__(Element)
@@ -183,9 +183,10 @@ class Presentation:
         self.rank = rank
         self.fuel = fuel
         self._gen_index = {g: k for k, g in enumerate(gens)}
-        # _moves[hi][lo] = (swap sign, swap exponents, ((factor id, tail letters),
-        # ...)), the rule of a descending pair; _factors[id] is the coefficient of
-        # that tail term; bit lo of _tailed[hi] is set when (hi, lo) has a tail.
+        # _moves[hi][lo] = (swap sign, swap exponents, ((factor id, tail word as
+        # generator indices), ...)), the rule of a descending pair; _factors[id]
+        # is the coefficient of that tail term; bit lo of _tailed[hi] is set when
+        # (hi, lo) has a tail.
         self._moves = [[None] * n for _ in range(n)]
         self._factors = []
         self._tailed = [0] * n
@@ -197,7 +198,7 @@ class Presentation:
                 except WordTooLong as exc:
                     exc.pair = (j, i)
                     raise
-                tails.append((len(self._factors), [(g, 1) for g, e in word for _ in range(e)]))
+                tails.append((len(self._factors), [g for g, e in word for _ in range(e)]))
                 self._factors.append(c)
                 self._tailed[j] |= 1 << i
             self._moves[j][i] = (rule.swap.sign, rule.swap.exponents, tuple(tails))
@@ -220,17 +221,12 @@ class Presentation:
         return twin
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Presentation):
-            return NotImplemented
-        return (self.name == other.name and self.context == other.context
+        return (isinstance(other, Presentation)
+                and self.name == other.name and self.context == other.context
                 and self.generators == other.generators
                 and self.invertible == other.invertible
                 and self.weights == other.weights
                 and self.rules == other.rules)
-
-    def __repr__(self) -> str:
-        kind = "invertible" if all(self.invertible) and self.ngens else "polynomial"
-        return f"Presentation({self.name}: {self.ngens} {kind} generators)"
 
 
 # -- reduction core ---------------------------------------------------------
@@ -317,11 +313,12 @@ def _too_long(count: int) -> WordTooLong:
 
 def _reduce(p: Presentation, seeds: list, fuel: Fuel) -> Element:
     """The normal form of the sum of seeds, (Coefficient, checked word) pairs; a
-    word that meets a tail is expanded into letters and rewritten.  A pending
-    item (base, factors, sign, shift, word, resume) is seeds[base]'s scalar
-    times p._factors[f] for f in the sorted tuple factors, times sign *
-    (parameters ** shift), times word, ordered before position resume; a
-    rewrite pushes the swapped item, then one per tail term, so tails go first.
+    word that meets a tail is expanded into a list of generator indices, one per
+    letter, and rewritten.  A pending item (base, factors, sign, shift, word,
+    resume) is seeds[base]'s scalar times p._factors[f] for f in the sorted
+    tuple factors, times sign * (parameters ** shift), times word, ordered
+    before position resume; a rewrite pushes the swapped item, then one per
+    tail term, so tails go first.
 
     The memo (see the module docstring) keeps only the hash of a word at its
     first visit; the next visit opens the word's entry, reduced from coefficient
@@ -337,7 +334,7 @@ def _reduce(p: Presentation, seeds: list, fuel: Fuel) -> Element:
             continue
         letters = []
         for i, e in word:  # a word that meets a tail has no inverse letter
-            letters.extend([(i, 1)] * e)
+            letters += [i] * e
         pending.append((base, (), 1, zero, letters, 0))
     if not pending:
         return Element(done)
@@ -351,9 +348,9 @@ def _reduce(p: Presentation, seeds: list, fuel: Fuel) -> Element:
         while pending:
             base, factors, sign, shift, word, resume = pending.pop()
             for k in range(resume, len(word) - 1):
-                if word[k][0] > word[k + 1][0]:
+                if word[k] > word[k + 1]:
                     a, b = word[k], word[k + 1]
-                    usign, uexps, tails = moves[a[0]][b[0]]
+                    usign, uexps, tails = moves[a][b]
                     if tails:
                         key = tuple(word)
                         mark = hash(key)
@@ -377,9 +374,7 @@ def _reduce(p: Presentation, seeds: list, fuel: Fuel) -> Element:
                         raise FuelExhausted("rewrite budget exceeded")
                     resume = k - 1 if k else 0
                     word[k], word[k + 1] = b, a
-                    # swap^(e*f) with e, f = +-1: the sign is unchanged by the power
-                    pending.append((base, factors, sign * usign,
-                                    tuple(map(add if a[1] == b[1] else sub, shift, uexps)),
+                    pending.append((base, factors, sign * usign, tuple(map(add, shift, uexps)),
                                     word, resume))
                     for fid, letters in tails:
                         fids = tuple(sorted(factors + (fid,))) if factors else (fid,)
@@ -388,8 +383,8 @@ def _reduce(p: Presentation, seeds: list, fuel: Fuel) -> Element:
                     break
             else:
                 exps = [0] * n
-                for idx, e in word:
-                    exps[idx] += e
+                for idx in word:
+                    exps[idx] += 1
                 key = (tuple(exps), base, factors)
                 shifts = finished.get(key)
                 if shifts is None:
@@ -541,9 +536,9 @@ def diamond_check(p: Presentation, fuel: int | None = None) -> list[OverlapRepor
     for i, j, k in itertools.combinations(range(p.ngens), 3):
         x_i, x_j, x_k = (i, 1), (j, 1), (k, 1)
         top = [(swaps[k, j], [x_j, x_k, x_i])] + [
-            (c[f], t + [x_i]) for f, t in p._moves[k][j][2]]
+            (c[f], [(g, 1) for g in t] + [x_i]) for f, t in p._moves[k][j][2]]
         bot = [(swaps[j, i], [x_k, x_i, x_j])] + [
-            (c[f], [x_k] + t) for f, t in p._moves[j][i][2]]
+            (c[f], [x_k] + [(g, 1) for g in t]) for f, t in p._moves[j][i][2]]
         budget = Fuel(size)  # one per overlap, the top side drawing first
         try:
             diff = _reduce(p, top, budget) - _reduce(p, bot, budget)

@@ -56,6 +56,22 @@ def test_unit_times_inverse():
     assert Q * Coefficient.symbol(CTX, "q", -1) == ONE
 
 
+def test_integers_compare_as_constants():
+    assert ONE * 3 == 3 and Q != 1 and ZERO == 0
+    assert ONE != "1" and ONE != Coefficient.one(ParamContext(["q"]))
+
+
+def test_leading_term_ratio_needs_a_divisible_leading_term():
+    assert (Q * 6 + 1).leading_term_ratio(Q * 3) == 2
+    assert (Q * 3).leading_term_ratio(Q * 2) is None
+    assert ZERO.leading_term_ratio(Q) is None and Q.leading_term_ratio(ZERO) is None
+
+
+def test_scale_unit_to_the_zeroth_power_is_the_identity():
+    c = LAM - Q
+    assert c.scale_unit(UnitMonomial(-1, (1, 2)), 0) == c
+
+
 def test_difference_of_squares():
     assert (1 - Q) * (1 + Q) == 1 - Q ** 2
 

@@ -97,6 +97,12 @@ def test_certificates_multiply(qa3):
             assert cab.mus[i] == ca.mus[i] * cb.mus[i]
 
 
+def test_proportional_leading_terms_are_not_enough(qa3):
+    # (x1 + x2) x1 = x1^2 + q_1_2^-1 x1 x2 and x1 (x1 + x2) = x1^2 + x1 x2 share
+    # their monomials, but no one scalar carries the second to the first
+    assert scalar_normality_check(qa3, gen(qa3, 0) + gen(qa3, 1)) is None
+
+
 def test_certificate_reverification_is_exact(m2):
     cert = scalar_normality_check(m2, gen(m2, "X21"))
     assert cert is not None
@@ -104,6 +110,7 @@ def test_certificate_reverification_is_exact(m2):
     tampered = NormalityCertificate(cert.element,
                                     tuple(mu * 2 for mu in cert.mus))
     assert not tampered.verify(m2)
+    assert not NormalityCertificate(cert.element, cert.mus[1:]).verify(m2)
 
 
 def test_zero_element_rejected(qa3):

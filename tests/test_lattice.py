@@ -122,6 +122,9 @@ def test_in_row_span():
     assert not in_row_span([(1, -1, 1)], (1, 1, 1))
     assert in_row_span([], (0, 0))
     assert not in_row_span([], (1, 0))
+    # dependent rows leave a zero row in the Hermite form; 1 is not a multiple of 2
+    assert in_row_span([(1, 2), (2, 4)], (3, 6))
+    assert not in_row_span([(2, 0)], (1, 0))
 
 
 def test_det_examples():

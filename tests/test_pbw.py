@@ -40,6 +40,10 @@ def test_quantum_plane_swap(plane):
     assert got == monomial(plane, (1, 1), q.invert_unit())
 
 
+def test_element_repr_counts_terms(plane):
+    assert repr(normal_form(plane, [("x2", 1), ("x1", 1)]) + gen(plane, 0)) == "Element(2 terms)"
+
+
 def test_scale_by_integers_and_zero(plane):
     x = normal_form(plane, [("x2", 1), ("x1", 1)]) + gen(plane, 0)
     assert x.scale(-1) == -x
@@ -576,6 +580,41 @@ def test_swap_signs_survive_every_swap():
     for _ in range(40):
         letters = [(rng.randrange(3), rng.choice((1, -1))) for _ in range(rng.randint(2, 8))]
         assert normal_form(skew, letters) == oracles.reduce_rightmost(skew, letters, unit), letters
+
+
+def _signed(ctx, rules):
+    """Generators x1 < x2 < ... over ctx, with rules (hi, lo) -> (swap sign,
+    swap exponents, tail terms)."""
+    n = 1 + max(hi for hi, _ in rules)
+    return Presentation(ctx, [f"x{g + 1}" for g in range(n)],
+                        {pair: Rule(UnitMonomial(s, e), Element(t))
+                         for pair, (s, e, t) in rules.items()})
+
+
+def test_tails_next_to_negative_swaps_keep_their_own_sign():
+    # a tail term is not multiplied by its rule's swap sign: y*x = -x*y + 1,
+    # and two confluent three-generator presentations with swaps of sign -1
+    # beside tails, against the rightmost reducer
+    ctx = ParamContext(["q"])
+    one, q = Coefficient.one(ctx), Coefficient.symbol(ctx, "q")
+    clifford = _signed(ctx, {(1, 0): (-1, (0,), {(0, 0): one})})
+    assert normal_form(clifford, [("x2", 1), ("x1", 1)]) == Element(
+        {(1, 1): -one, (0, 0): one})
+    linear = _signed(ctx, {(1, 0): (-1, (1,), {(0, 0, 0): one}),
+                           (2, 0): (-1, (0,), {(1, 0, 0): one}),
+                           (2, 1): (-1, (0,), {(0, 1, 0): one})})
+    constant = _signed(ctx, {(1, 0): (-1, (0,), {(0, 0, 0): one}),
+                             (2, 0): (-1, (0,), {(0, 0, 0): 2 * one}),
+                             (2, 1): (-1, (0,), {(0, 0, 0): q})})
+    seed = 29
+    print(f"seed {seed}")
+    rng = random.Random(seed)
+    for p in (clifford, linear, constant):
+        assert all(r.resolved for r in diamond_check(p))
+        for _ in range(30):
+            letters = [(rng.randrange(p.ngens), 1) for _ in range(rng.randint(2, 7))]
+            want = oracles.reduce_rightmost(p, letters, one)
+            assert normal_form(p, letters) == want, (p.rules, letters)
 
 
 # -- the closed form of tail-free words ----------------------------------------

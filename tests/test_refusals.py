@@ -1,14 +1,16 @@
 """Refusals that no other test reaches: each bad input, the error type it
 raises and its message.  The DSL and the CLI's own checks refuse most of
-these inputs first, so only direct library calls, and two CLI usage errors,
+these inputs first, so only direct library calls, and a few CLI usage errors,
 reach them."""
 
 import json
 
 import pytest
 
-from strata_lab import cli, pbw, qdet, strat, zoo
+from strata_lab import cli, lattice, pbw, qdet, strat, zoo
 from strata_lab.coeff import Coefficient, ContextMismatch, ParamContext, UnitMonomial
+from strata_lab.dsl import DslError, print_presentation
+from strata_lab.grading import weight_of
 from strata_lab.pbw import Element, Presentation, PresentationError, Rule
 
 NONE = ParamContext([])
@@ -78,6 +80,19 @@ CASES = [
     (["nf", "x1", "--specialize", "q"], ("error", 2),
      "bad specialization 'q'; expected sym=rational"),
     (["center", "--hprime", "1,x"], ("error", 2), "bad generator subset '1,x'"),
+    # coeff, lattice, grading and dsl refusals that only a library call reaches
+    (lambda: Coefficient.symbol(Q, "z"), KeyError, "\"unknown parameter 'z'\""),
+    (lambda: lattice.det([[1, 2], [3]]), ValueError, "ragged matrix"),
+    (lambda: lattice.matmul([[1, 2]], [[1, 2]]), ValueError, "shape mismatch"),
+    (lambda: lattice.det([[1, 2]]), ValueError, "determinant needs a square matrix"),
+    (lambda: weight_of(plane(), (1,)), ValueError, "exponent width does not match presentation"),
+    (lambda: print_presentation(plane(gens=["x", "y$"])), DslError,
+     "generator name 'y$' cannot be printed: the DSL would not read it back"),
+    # more CLI usage errors; a zero mantissa with an exponent too long to compute
+    # is zero, not TooManyDigits
+    (["nf", "x1 x2"], ("error", 2), "line 1, col 4: trailing input 'x2'"),
+    (["nf", "x1", "--specialize", "q_1_2=0e99999999"], ("error", 2),
+     "symbol 'q_1_2' assigned zero; symbols are invertible"),
 ]
 
 
