@@ -123,7 +123,7 @@ class ParamContext:
         try:
             return self._index[name]
         except KeyError:
-            raise KeyError(f"unknown parameter {name!r}") from None
+            raise ValueError(f"unknown parameter {name!r}") from None
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
@@ -149,9 +149,6 @@ class UnitMonomial:
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         object.__setattr__(self, "exponents", tuple(self.exponents))
-
-    def invert(self) -> "UnitMonomial":
-        return UnitMonomial(self.sign, tuple(map(neg, self.exponents)))
 
     def to_coefficient(self, context: ParamContext) -> "Coefficient":
         if len(self.exponents) != len(context):
@@ -302,7 +299,8 @@ class Coefficient:
         return UnitMonomial(c, exp)
 
     def invert_unit(self) -> "Coefficient":
-        return self.as_unit().invert().to_coefficient(self.context)
+        unit = self.as_unit()
+        return Coefficient(self.context, {tuple(map(neg, unit.exponents)): unit.sign})
 
     def leading_term_ratio(self, other: "Coefficient") -> "Coefficient | None":
         """Single-term candidate r with self == r * other, or None.

@@ -45,7 +45,7 @@ import copy
 import itertools
 from dataclasses import dataclass, field
 from math import comb
-from operator import add
+from operator import add, index
 from typing import Mapping, Sequence
 
 from .coeff import Coefficient, ContextMismatch, ParamContext, UnitMonomial, add_terms
@@ -135,7 +135,7 @@ class Presentation:
     def __init__(self, context: ParamContext, generators: Sequence[str],
                  rules: Mapping[tuple[int, int], Rule],
                  weights: Sequence[Sequence[int]] | None = None,
-                 invertible=False, name: str = "A", fuel: int = DEFAULT_FUEL):
+                 invertible=False, name: str = "A"):
         gens = tuple(generators)
         if len(set(gens)) != len(gens):
             raise PresentationError("duplicate generator names")
@@ -150,7 +150,6 @@ class Presentation:
         rank = len(wts[0]) if n else 0
         if any(len(w) != rank for w in wts):
             raise PresentationError("weight vectors of unequal rank")
-        Fuel(fuel)  # rejects a non-positive budget
 
         need = {(j, i) for j in range(n) for i in range(j)}
         got = set(rules)
@@ -181,7 +180,7 @@ class Presentation:
         self.rules = dict(rules)
         self.weights = wts
         self.rank = rank
-        self.fuel = fuel
+        self.fuel = DEFAULT_FUEL
         self._gen_index = {g: k for k, g in enumerate(gens)}
         # _moves[hi][lo] = (swap sign, swap exponents, ((factor id, tail word as
         # generator indices), ...)), the rule of a descending pair; _factors[id]
@@ -207,11 +206,17 @@ class Presentation:
     def ngens(self) -> int:
         return len(self.generators)
 
-    def gen_index(self, name: str) -> int:
-        try:
-            return self._gen_index[name]
-        except KeyError:
-            raise PresentationError(f"unknown generator {name!r}") from None
+    def gen_index(self, g) -> int:
+        """The index of a generator given by name or by index."""
+        if isinstance(g, str):
+            try:
+                return self._gen_index[g]
+            except KeyError:
+                raise PresentationError(f"unknown generator {g!r}") from None
+        i = index(g)
+        if not 0 <= i < len(self.generators):
+            raise PresentationError(f"generator index {i} out of range")
+        return i
 
     def with_fuel(self, fuel: int) -> "Presentation":
         """A copy with another budget; it shares the already validated fields."""
@@ -246,14 +251,12 @@ class Fuel:
 def _checked(p: Presentation, pairs) -> tuple[list[tuple[int, int]], int]:
     """A word's (generator index, nonzero exponent) pairs and its number of
     letters, counted, not built: the one check of a word entering the engine,
-    tails included (index range, NegativeExponent, then WordTooLong; product
-    checks a term pair's total alike).  Rewriting keeps a word valid: swaps only
-    permute letters, tails passed this check, and inverse letters meet no tail."""
-    n = len(p.generators)
+    tails included (NegativeExponent, then WordTooLong; product checks a term
+    pair's total alike), whose indices the caller has range-checked.  Rewriting
+    keeps a word valid: swaps only permute letters, tails passed this check, and
+    inverse letters meet no tail."""
     word, count = [], 0
     for i, e in pairs:
-        if not 0 <= i < n:
-            raise PresentationError(f"generator index {i} out of range")
         if e:
             if e < 0 and not p.invertible[i]:
                 raise NegativeExponent(
@@ -419,20 +422,17 @@ def _absorb(finished: dict, groups: dict, base, factors, sign, shift):
 
 def _multiply_out(p: Presentation, bases: list, finished: dict, out: list) -> Element:
     """Sum the terms out and the finished words: each distinct base * product
-    of factors is computed once, extending the longest product already known,
-    and each group's shift table is multiplied into it once."""
+    of factors is computed once, and each group's shift table is multiplied
+    into it once."""
     unit = {(0,) * len(p.context): 1}
     products: dict = {}
     for (mono, base, factors), shifts in finished.items():
         c = products.get((base, factors))
         if c is None:
-            t = len(factors)
-            while t and (base, factors[:t]) not in products:
-                t -= 1
-            c = products[(base, factors[:t])] if t else bases[base]
-            for t in range(t, len(factors)):
-                c = c * p._factors[factors[t]]
-                products[(base, factors[:t + 1])] = c
+            c = bases[base]
+            for f in factors:
+                c = c * p._factors[f]
+            products[base, factors] = c
         if shifts != unit:
             table = Coefficient.__new__(Coefficient)
             table.context, table.terms = p.context, {s: m for s, m in shifts.items() if m}
@@ -443,8 +443,7 @@ def _multiply_out(p: Presentation, bases: list, finished: dict, out: list) -> El
 
 def normal_form(p: Presentation, word, fuel: int | None = None) -> Element:
     """Reduce a word (list of (generator, exponent) pairs) to its normal form."""
-    word, _ = _checked(p, [(p.gen_index(g) if isinstance(g, str) else int(g), int(e))
-                           for g, e in word])
+    word, _ = _checked(p, [(p.gen_index(g), index(e)) for g, e in word])
     budget = Fuel(p.fuel if fuel is None else fuel)
     return _reduce(p, [(Coefficient.one(p.context), word)], budget)
 
@@ -477,7 +476,7 @@ def multiply(p: Presentation, a: Element, b: Element,
 
 
 def monomial(p: Presentation, exponents, coeff: Coefficient | None = None) -> Element:
-    exp = tuple(int(e) for e in exponents)
+    exp = tuple(map(index, exponents))
     if len(exp) != p.ngens:
         raise PresentationError("exponent width does not match presentation")
     for i, e in enumerate(exp):
@@ -489,9 +488,8 @@ def monomial(p: Presentation, exponents, coeff: Coefficient | None = None) -> El
 
 
 def gen(p: Presentation, i) -> Element:
-    idx = p.gen_index(i) if isinstance(i, str) else int(i)
     exp = [0] * p.ngens
-    exp[idx] = 1
+    exp[p.gen_index(i)] = 1
     return monomial(p, exp)
 
 

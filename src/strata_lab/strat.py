@@ -136,7 +136,7 @@ def _quotient(p: Presentation, w: HPrime, survivors: list[int],
     name = f"{p.name}_mod_{''.join(str(i) for i in w.members) or '0'}_{kind}"
     return Presentation(p.context, [p.generators[i] for i in survivors], rules,
                         [p.weights[i] for i in survivors], invertible=invertible,
-                        name=name, fuel=p.fuel)
+                        name=name).with_fuel(p.fuel)
 
 
 def stratum_torus(p: Presentation, w: HPrime) -> Presentation:

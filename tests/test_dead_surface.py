@@ -2,9 +2,8 @@
 
 Every top-level function, class and constant of src/strata_lab, and every
 public method of a top-level class, is used somewhere in src/ beyond its
-definition and the package's re-export, or is used in perfbench/, or has a
-row in ALLOWED saying why it stays.  A name that only tests call needs such
-a row.
+definition, or is used in perfbench/, or has a row in ALLOWED saying why it
+stays.  A name that only tests call needs such a row.
 
 A top-level name counts as used only as a bare name in its own module or in
 a module that imports it by name, or as `module.name`; a same-named method

@@ -17,6 +17,7 @@ from strata_lab.pbw import (Element, Fuel, FuelExhausted, NegativeExponent,
                             product)
 
 import oracles
+from reversed_digests import SLOW, WORDS, reversed_word_digest
 
 
 @pytest.fixture(scope="module")
@@ -293,7 +294,10 @@ def test_negative_exponent_rejected(plane):
         monomial(plane, (-1, 0))
 
 
-@pytest.mark.parametrize("word", [[(2, 1)], [(-1, 1)], [(5, 0), ("x1", 1)]])
+# every index is resolved before any exponent is checked, so the last word
+# reports its index, not the negative power before it
+@pytest.mark.parametrize("word", [[(2, 1)], [(-1, 1)], [(5, 0), ("x1", 1)],
+                                  [("x1", -1), (2, 1)]])
 def test_generator_indices_out_of_range_are_rejected(plane, word):
     with pytest.raises(PresentationError, match="out of range"):
         normal_form(plane, word)
@@ -517,6 +521,16 @@ def test_reversed_generator_words_cost_their_leftmost_counts():
                 assert got == oracles.reduce_rightmost(p, letters, unit), (family, power)
             with pytest.raises(FuelExhausted):
                 normal_form(p, letters, fuel=count - 1)
+
+
+FAST_WORDS = [w for w in WORDS if w[:2] not in SLOW]
+
+
+@pytest.mark.parametrize("family, power, budget, digest", FAST_WORDS,
+                         ids=[f"{family} power {power}" for family, power, *_ in FAST_WORDS])
+def test_reversed_generator_words_keep_their_digests(family, power, budget, digest):
+    # the slow two of the sixteen run as tests/reversed_digests.py
+    assert reversed_word_digest(family, power, budget) == digest
 
 
 def test_memo_entries_nest_deeper_than_the_interpreter_stack():

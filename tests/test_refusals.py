@@ -81,7 +81,7 @@ CASES = [
      "bad specialization 'q'; expected sym=rational"),
     (["center", "--hprime", "1,x"], ("error", 2), "bad generator subset '1,x'"),
     # coeff, lattice, grading and dsl refusals that only a library call reaches
-    (lambda: Coefficient.symbol(Q, "z"), KeyError, "\"unknown parameter 'z'\""),
+    (lambda: Coefficient.symbol(Q, "z"), ValueError, "unknown parameter 'z'"),
     (lambda: lattice.det([[1, 2], [3]]), ValueError, "ragged matrix"),
     (lambda: lattice.matmul([[1, 2]], [[1, 2]]), ValueError, "shape mismatch"),
     (lambda: lattice.det([[1, 2]]), ValueError, "determinant needs a square matrix"),
@@ -93,6 +93,13 @@ CASES = [
     (["nf", "x1 x2"], ("error", 2), "line 1, col 4: trailing input 'x2'"),
     (["nf", "x1", "--specialize", "q_1_2=0e99999999"], ("error", 2),
      "symbol 'q_1_2' assigned zero; symbols are invertible"),
+    # a generator index is range-checked, and an index or exponent must be integral
+    (lambda: pbw.gen(plane(), -1), PresentationError, "generator index -1 out of range"),
+    (lambda: pbw.gen(plane(), 2), PresentationError, "generator index 2 out of range"),
+    (lambda: pbw.normal_form(plane(), [(0, 1.5)]), TypeError,
+     "'float' object cannot be interpreted as an integer"),
+    (lambda: pbw.monomial(plane(), (0.5, 0)), TypeError,
+     "'float' object cannot be interpreted as an integer"),
 ]
 
 

@@ -118,6 +118,10 @@ def test_quotient_presentation(qa2):
     assert not q.invertible[0]
     t = stratum_torus(qa2, HPrime((1,)))
     assert t.invertible[0]
+    # a quotient and a stratum torus keep their parent's budget
+    budgeted = qa2.with_fuel(7)
+    assert stratum_torus(budgeted, HPrime((1,))).fuel == 7
+    assert normal_separation_witness(budgeted, HPrime((1,)), HPrime((1, 2))).quotient.fuel == 7
 
 
 def test_stratum_ranks_n2_generic(qa2):
