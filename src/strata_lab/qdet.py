@@ -65,7 +65,6 @@ class NormalityIdentity:
 
 @dataclass
 class DetNormalityReport:
-    n: int
     identities: list[NormalityIdentity]
 
     @property
@@ -84,7 +83,7 @@ def verify_det_normality(n: int, lam: Coefficient,
         i, j = divmod(g, n)
         mu = det_commutation_scalar(n, lam, p, i + 1, j + 1)
         identities.append(NormalityIdentity(i + 1, j + 1, not left - right.scale(mu)))
-    return DetNormalityReport(n, identities)
+    return DetNormalityReport(identities)
 
 
 def sl_condition(n: int, lam: Coefficient, p: AntisymmetricMatrixSpec) -> bool:

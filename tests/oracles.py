@@ -383,17 +383,32 @@ def covers_by_definition(primes):
             if below(a, b) and not any(below(a, c) and below(c, b) for c in primes)]
 
 
+def prime_ideals(n: int):
+    """Every stable prime of quantum affine n-space, by (size, members), with
+    the minimal generators of its ideal: the exponent tuples of its variables."""
+    from strata_lab.strat import HPrime
+    primes = [HPrime(m) for size in range(n + 1)
+              for m in itertools.combinations(range(1, n + 1), size)]
+    return {w: minimal_generators(tuple(int(t == i - 1) for t in range(n))
+                                  for i in w.members) for w in primes}
+
+
+def closure_by_definition(p: Presentation) -> bool:
+    """Checks (b) of the stratification axioms straight from its definition:
+    for every pair of stable primes J, K, the ideal of K contains the ideal
+    of J exactly when the members of J are among those of K."""
+    ideals = prime_ideals(p.ngens)
+    return all(ideal_contains(ideals[k], ideals[j]) == (set(j.members) <= set(k.members))
+               for j in ideals for k in ideals)
+
+
 def locally_closed_by_definition(p: Presentation):
     """Checks (a) and (c) of the stratification axioms straight from their
     definitions: intersect over every strictly larger prime, and over every
     prime taller than d.  Returns ({prime: (minimal generators of the bigger
     ideal, locally closed)}, low-height unions open)."""
-    from strata_lab.strat import HPrime
     n = p.ngens
-    primes = [HPrime(m) for size in range(n + 1)
-              for m in itertools.combinations(range(1, n + 1), size)]
-    ideals = {w: minimal_generators(tuple(int(t == i - 1) for t in range(n))
-                                    for i in w.members) for w in primes}
+    ideals = prime_ideals(n)
 
     def meet(ws):
         out = ((0,) * n,)
@@ -402,12 +417,12 @@ def locally_closed_by_definition(p: Presentation):
         return out
 
     closed = {}
-    for j in primes:
-        bigger = meet([k for k in primes if set(j.members) < set(k.members)])
+    for j in ideals:
+        bigger = meet([k for k in ideals if set(j.members) < set(k.members)])
         closed[j] = (bigger, ideal_contains(bigger, ideals[j])
                      and not ideal_contains(ideals[j], bigger))
     open_ok = all(
         (len(j.members) <= d) == (not ideal_contains(
-            ideals[j], meet([k for k in primes if len(k.members) > d])))
-        for d in range(n + 1) for j in primes)
+            ideals[j], meet([k for k in ideals if len(k.members) > d])))
+        for d in range(n + 1) for j in ideals)
     return closed, open_ok

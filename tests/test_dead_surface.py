@@ -9,10 +9,17 @@ A top-level name counts as used only as a bare name in its own module or in
 a module that imports it by name, or as `module.name`; a same-named method
 or local elsewhere does not keep it.  A public method counts as used
 wherever its identifier is read, as a name or an attribute.
+
+Every parameter with a default, of a top-level function or of a public
+method or `__init__` of a top-level class, is passed by position or by
+keyword at some call of that name in src/ or perfbench/ (`__init__` by its
+class name; a call with *args or **kwargs passes every parameter), or has a
+row in ALLOWED.
 """
 
 import ast
-from collections import Counter
+import math
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -25,6 +32,9 @@ ALLOWED = {
     "pbw.leading_term": "documented API; acceptance criterion 9 (leading terms multiply)",
     "grading.NormalityCertificate.verify":
         "acceptance criterion 7 re-verifies each separation witness's certificate",
+    "pbw.diamond_check(fuel=)":
+        "the per-call budget normal_form and multiply also take; one budget= "
+        "argument is to replace all three (ROADMAP item 5)",
 }
 
 
@@ -76,12 +86,66 @@ def dead_names(src=SRC, perfbench=PERFBENCH) -> list[str]:
                                             else (path.stem, ident) in pairs)]
 
 
+def _calls(paths) -> defaultdict:
+    """For each called name, the (positional count, keyword names) of each
+    call; a call with *args or **kwargs counts as passing everything."""
+    calls = defaultdict(list)
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                star = (any(isinstance(a, ast.Starred) for a in node.args)
+                        or any(k.arg is None for k in node.keywords))
+                calls[name].append((math.inf if star else len(node.args),
+                                    {k.arg for k in node.keywords}))
+    return calls
+
+
+def _defaulted(path):
+    """(row, called name, position, parameter) of each parameter with a default
+    of a top-level function, or of a public method or __init__ of a top-level
+    class.  The position counts the arguments a call passes, so it skips self
+    and cls; it is None for a keyword-only parameter."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.FunctionDef):
+            found = [(node.name, node.name, node, 0)]
+        elif isinstance(node, ast.ClassDef):
+            found = [(f"{node.name}.{f.name}", node.name if f.name == "__init__" else f.name,
+                      f, 0 if any(getattr(d, "id", None) == "staticmethod"
+                                  for d in f.decorator_list) else 1)
+                     for f in node.body if isinstance(f, ast.FunctionDef)
+                     and (f.name == "__init__" or not f.name.startswith("_"))]
+        else:
+            continue
+        for qual, called, f, skip in found:
+            positional = f.args.posonlyargs + f.args.args
+            first = len(positional) - len(f.args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield f"{path.stem}.{qual}({arg.arg}=)", called, i - skip, arg.arg
+            for arg, default in zip(f.args.kwonlyargs, f.args.kw_defaults):
+                if default is not None:
+                    yield f"{path.stem}.{qual}({arg.arg}=)", called, None, arg.arg
+
+
+def unpassed_parameters(src=SRC, perfbench=PERFBENCH) -> list[str]:
+    modules = [p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
+    calls = _calls(modules + sorted(perfbench.glob("*.py")))
+    return [row for path in modules for row, called, pos, name in _defaulted(path)
+            if row not in ALLOWED and not any(pos is not None and count > pos or name in keywords
+                                              for count, keywords in calls[called])]
+
+
 def test_every_name_is_used_or_allowed():
     assert dead_names() == []
 
 
+def test_every_defaulted_parameter_is_passed_or_allowed():
+    assert unpassed_parameters() == []
+
+
 def test_every_allowlist_row_names_a_definition():
     defined = {name for path in SRC.glob("*.py") for name, _ in _surface(path)}
+    defined |= {row for path in SRC.glob("*.py") for row, *_ in _defaulted(path)}
     assert set(ALLOWED) <= defined
 
 
@@ -108,3 +172,14 @@ def test_a_name_shared_with_a_method_is_caught(tmp_path):
     # the identifier `one` in use
     src = _copy_with(tmp_path, "pbw", "\n\ndef one(p):\n    return monomial(p, (0,) * p.ngens)\n")
     assert dead_names(src) == ["pbw.one"]
+
+
+def test_a_parameter_only_tests_pass_is_caught(tmp_path):
+    # normal_form's scalar= was deleted: only tests passed it, and
+    # normal_form(...).scale(c) gives the same element
+    src = _copy_with(tmp_path, "pbw", (
+        "\n\ndef scaled_form(p, word, fuel=None, scalar=None):\n"
+        "    return normal_form(p, word, fuel)\n"
+        "\n\ndef twice(p, word):\n"
+        "    return scaled_form(p, word, 10) + scaled_form(p, word)\n"))
+    assert unpassed_parameters(src) == ["pbw.scaled_form(scalar=)"]

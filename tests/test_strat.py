@@ -253,8 +253,28 @@ def test_axioms_match_the_definition(n, single):
     report = stratification_axioms_check(p)
     closed, open_ok = oracles.locally_closed_by_definition(p)
     assert {w.hprime: (w.bigger, w.ok) for w in report.locally_closed} == closed
+    assert report.closure_is_union == oracles.closure_by_definition(p)
     assert report.height_unions_open == open_ok
     assert report.passed
+
+
+def test_axioms_check_makes_few_containment_calls(monkeypatch):
+    """Two containment calls per locally-closed witness, one per prime and
+    variable for the closure law, one per prime and height for the height
+    law: (2n + 3) 2^n in all, where comparing all pairs of primes takes 4^n."""
+    import strata_lab.strat as strat
+    calls = 0
+    contains = strat._mask_contains
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return contains(a, b)
+
+    monkeypatch.setattr(strat, "_mask_contains", counted)
+    n = 8
+    assert stratification_axioms_check(zoo.quantum_affine_single(n)).passed
+    assert calls <= (2 * n + 3) * 2 ** n == 4864
 
 
 @pytest.mark.parametrize("single", [False, True])
