@@ -45,7 +45,6 @@ class DslError(Exception):
 
     def __init__(self, message: str, line: int = 0, col: int = 0):
         super().__init__(f"line {line}, col {col}: {message}" if line else message)
-        self.message = message
         self.line = line
         self.col = col
 
@@ -245,12 +244,6 @@ def _evaluate(text: str, context: ParamContext, generators, invertible,
     if t.kind != "EOF":
         raise DslError(f"trailing input {t.value!r}", t.line, t.col)
     return value
-
-
-def parse_coefficient(context: ParamContext, text: str) -> Coefficient:
-    """Parse a pure coefficient expression over the given parameter context."""
-    value = _evaluate(text, context, (), (), _ordered_product)
-    return value.terms.get((), Coefficient.zero(context))
 
 
 def evaluate_expression(p: Presentation, text: str) -> Element:

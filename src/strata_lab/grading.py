@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from operator import index
 from typing import Iterator, Sequence
 
 from .coeff import Coefficient
@@ -17,7 +18,7 @@ from .pbw import Element, Presentation, gen, multiply, order_key
 
 def weight_of(p: Presentation, exponents: Sequence[int]) -> tuple[int, ...]:
     """Weight of a monomial: the exponent-weighted sum of generator weights."""
-    exp = tuple(exponents)
+    exp = tuple(map(index, exponents))
     if len(exp) != p.ngens:
         raise ValueError("exponent width does not match presentation")
     w = [0] * p.rank

@@ -144,7 +144,7 @@ class Presentation:
             raise PresentationError("generators are all polynomial or all invertible")
         if weights is None:
             weights = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-        wts = tuple(tuple(int(x) for x in w) for w in weights)
+        wts = tuple(tuple(map(index, w)) for w in weights)
         if len(wts) != n:
             raise PresentationError("one weight vector per generator required")
         rank = len(wts[0]) if n else 0
@@ -521,13 +521,11 @@ class OverlapReport:
     note: str = ""
 
 
-def diamond_check(p: Presentation, fuel: int | None = None) -> list[OverlapReport]:
+def diamond_check(p: Presentation) -> list[OverlapReport]:
     """Resolve every overlap x_k x_j x_i by both critical reduction orders,
     seeding each side with the words its forced first rewrite leaves: the top
     swap_kj x_j x_k x_i and c t x_i per tail term c t of (k, j), the bottom
     swap_ji x_k x_i x_j and c x_k t per tail term of (j, i)."""
-    size = p.fuel if fuel is None else fuel
-    Fuel(size)  # rejected even when there is no overlap to resolve
     swaps = {pair: rule.swap.to_coefficient(p.context) for pair, rule in p.rules.items()}
     c = p._factors
     reports = []
@@ -537,7 +535,7 @@ def diamond_check(p: Presentation, fuel: int | None = None) -> list[OverlapRepor
             (c[f], [(g, 1) for g in t] + [x_i]) for f, t in p._moves[k][j][2]]
         bot = [(swaps[j, i], [x_k, x_i, x_j])] + [
             (c[f], [x_k] + [(g, 1) for g in t]) for f, t in p._moves[j][i][2]]
-        budget = Fuel(size)  # one per overlap, the top side drawing first
+        budget = Fuel(p.fuel)  # one per overlap, the top side drawing first
         try:
             diff = _reduce(p, top, budget) - _reduce(p, bot, budget)
             reports.append(OverlapReport((k, j, i), not diff, diff))

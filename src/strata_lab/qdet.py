@@ -87,7 +87,8 @@ def verify_det_normality(n: int, lam: Coefficient,
 
 
 def sl_condition(n: int, lam: Coefficient, p: AntisymmetricMatrixSpec) -> bool:
-    """Centrality criterion: lam^i * prod_l p_il takes one common value."""
+    """Centrality criterion: lam^i * prod_l p_il takes one common value.  The
+    CLI reads sl_common_value instead; this stays for the benchmark's sl jobs."""
     return sl_common_value(n, lam, p) is not None
 
 

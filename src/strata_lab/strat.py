@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Sequence
 
 from . import lattice
@@ -41,9 +42,7 @@ class HPrime:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        m = tuple(sorted(set(self.members)))
-        if m != tuple(self.members):
-            object.__setattr__(self, "members", m)
+        object.__setattr__(self, "members", tuple(sorted(set(map(index, self.members)))))
 
     def issubset(self, other: "HPrime") -> bool:
         return set(self.members) <= set(other.members)

@@ -163,7 +163,8 @@ def test_tokens_follow_the_lexical_rules():
             toks = dsl.tokenize(text)
         except DslError as exc:
             at = starts[exc.line - 1] + exc.col - 1
-            assert exc.message == f"unexpected character {text[at]!r}", text
+            assert str(exc) == (f"line {exc.line}, col {exc.col}: "
+                                f"unexpected character {text[at]!r}"), text
             toks = dsl.tokenize(text[:at])  # all before it is covered
             bad = text[at]
             assert not (bad in " \t\r\n#*+-=^()," or bad.isdecimal() or bad.isalpha()
@@ -295,7 +296,9 @@ def test_rule_errors_point_at_the_rule(rhs):
     with pytest.raises(DslError) as info:
         parse(PLANE_FILE.replace("q^-1 * x1 * x2", rhs))
     assert (info.value.line, info.value.col) == (5, 1)
-    assert "normal form" in info.value.message or "negative power" in info.value.message
+    message = str(info.value)
+    assert message.startswith("line 5, col 1: ")
+    assert "normal form" in message or "negative power" in message
 
 
 EXPRESSION_ALGEBRAS = {

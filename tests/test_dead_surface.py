@@ -15,6 +15,12 @@ method or `__init__` of a top-level class, is passed by position or by
 keyword at some call of that name in src/ or perfbench/ (`__init__` by its
 class name; a call with *args or **kwargs passes every parameter), or has a
 row in ALLOWED.
+
+Every attribute a top-level class defines, as a `self.x` store in one of its
+methods, a dataclass field or a __slots__ entry, is read as `.x` or as
+getattr(_, "x", ...) somewhere in src/ or perfbench/, or has a row in
+ALLOWED.  Like the method rule, this rule matches identifiers, not types: a
+read of `.x` on any object keeps every attribute named x.
 """
 
 import ast
@@ -27,22 +33,23 @@ SRC = ROOT / "src" / "strata_lab"
 PERFBENCH = ROOT / "perfbench"
 
 ALLOWED = {
-    "dsl.parse_coefficient": "documented API: reads a coefficient over a context",
     "dsl.print_presentation": "documented API: the printer of the parse/print round trip",
     "pbw.leading_term": "documented API; acceptance criterion 9 (leading terms multiply)",
     "grading.NormalityCertificate.verify":
         "acceptance criterion 7 re-verifies each separation witness's certificate",
-    "pbw.diamond_check(fuel=)":
-        "the per-call budget normal_form and multiply also take; one budget= "
-        "argument is to replace all three (ROADMAP item 5)",
+    "pbw.OverlapReport.discrepancy":
+        "tests check each overlap's difference against the rewriting oracle",
+    "strat.LocallyClosedWitness.bigger":
+        "tests check each witness's generators against the definition oracle",
 }
 
 
-def _uses(paths, src) -> tuple[set, Counter]:
+def _uses(paths, src) -> tuple[set, Counter, set]:
     """The (module, name) pairs the files use, a bare name counting for the
     module it is imported from and, in a module of src, for its own module;
-    and how often each identifier is read as a name or an attribute."""
-    pairs, seen = set(), Counter()
+    how often each identifier is read as a name or an attribute; and the
+    identifiers read as an attribute, as `.x` or as getattr(_, "x", ...)."""
+    pairs, seen, attrs = set(), Counter(), set()
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         imported = {alias.asname or alias.name: (node.module.rpartition(".")[2], alias.name)
@@ -57,10 +64,14 @@ def _uses(paths, src) -> tuple[set, Counter]:
                     pairs.add((path.stem, node.id))
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 seen[node.attr] += 1
+                attrs.add(node.attr)
                 if isinstance(node.value, (ast.Name, ast.Attribute)):
                     module = getattr(node.value, "id", None) or node.value.attr
                     pairs.add((module, node.attr))
-    return pairs, seen
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+                  and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)):
+                attrs.add(node.args[1].value)
+    return pairs, seen, attrs
 
 
 def _surface(path):
@@ -78,12 +89,44 @@ def _surface(path):
                     yield f"{path.stem}.{target.id}", target.id
 
 
+def _attributes(path):
+    """(qualified name, identifier) of each attribute a top-level class of a
+    module defines: a `self.x` store in one of its methods, a field of a
+    dataclass, or a __slots__ entry."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        fields = any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                     for d in node.decorator_list)
+        names = set()
+        for item in node.body:
+            if fields and isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                names.add(item.target.id)
+            elif isinstance(item, ast.Assign) and any(getattr(t, "id", None) == "__slots__"
+                                                      for t in item.targets):
+                names.update(ast.literal_eval(item.value))
+            elif isinstance(item, ast.FunctionDef):
+                names.update(store.attr for store in ast.walk(item)
+                             if isinstance(store, ast.Attribute)
+                             and isinstance(store.ctx, ast.Store)
+                             and getattr(store.value, "id", None) == "self")
+        for name in sorted(names):
+            yield f"{path.stem}.{node.name}.{name}", name
+
+
 def dead_names(src=SRC, perfbench=PERFBENCH) -> list[str]:
     modules = [p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
-    pairs, seen = _uses(modules + sorted(perfbench.glob("*.py")), src)
+    pairs, seen, _ = _uses(modules + sorted(perfbench.glob("*.py")), src)
     return [name for path in modules for name, ident in _surface(path)
             if name not in ALLOWED and not (seen[ident] if name.count(".") == 2
                                             else (path.stem, ident) in pairs)]
+
+
+def unread_attributes(src=SRC, perfbench=PERFBENCH) -> list[str]:
+    modules = [p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
+    _, _, attrs = _uses(modules + sorted(perfbench.glob("*.py")), src)
+    return [name for path in modules for name, ident in _attributes(path)
+            if name not in ALLOWED and ident not in attrs]
 
 
 def _calls(paths) -> defaultdict:
@@ -143,20 +186,27 @@ def test_every_defaulted_parameter_is_passed_or_allowed():
     assert unpassed_parameters() == []
 
 
+def test_every_attribute_is_read_or_allowed():
+    assert unread_attributes() == []
+
+
 def test_every_allowlist_row_names_a_definition():
     defined = {name for path in SRC.glob("*.py") for name, _ in _surface(path)}
     defined |= {row for path in SRC.glob("*.py") for row, *_ in _defaulted(path)}
+    defined |= {name for path in SRC.glob("*.py") for name, _ in _attributes(path)}
     assert set(ALLOWED) <= defined
 
 
-def _copy_with(tmp_path, module, text):
-    """A copy of the package with text appended to one module."""
+def _copy_with(tmp_path, module, text, after=None):
+    """A copy of the package with text inserted into one module after the
+    line `after`, or appended to it."""
     src = tmp_path / "strata_lab"
     src.mkdir()
     for path in SRC.glob("*.py"):
-        extra = text if path.stem == module else ""
-        (src / path.name).write_text(path.read_text(encoding="utf-8") + extra,
-                                     encoding="utf-8")
+        source = path.read_text(encoding="utf-8")
+        if path.stem == module:
+            source = source.replace(after, after + text, 1) if after else source + text
+        (src / path.name).write_text(source, encoding="utf-8")
     return src
 
 
@@ -183,3 +233,10 @@ def test_a_parameter_only_tests_pass_is_caught(tmp_path):
         "\n\ndef twice(p, word):\n"
         "    return scaled_form(p, word, 10) + scaled_form(p, word)\n"))
     assert unpassed_parameters(src) == ["pbw.scaled_form(scalar=)"]
+
+
+def test_an_attribute_only_tests_read_is_caught(tmp_path):
+    # StratumReport.exponent_matrix was deleted: no caller but tests read it
+    after = "    center_basis: list[tuple[int, ...]]\n"
+    src = _copy_with(tmp_path, "strat", "    exponent_matrix: list[list[int]]\n", after)
+    assert unread_attributes(src) == ["strat.StratumReport.exponent_matrix"]

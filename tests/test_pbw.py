@@ -256,13 +256,11 @@ def test_with_fuel_copies_without_rebuilding(m2):
 
 
 @pytest.mark.parametrize("fuel", [0, -1])
-def test_nonpositive_fuel_is_rejected(plane, m2, fuel):
+def test_nonpositive_fuel_is_rejected(m2, fuel):
     x = gen(m2, "X11")
     calls = [
         lambda: normal_form(m2, [("X22", 1), ("X11", 1)], fuel=fuel),
         lambda: multiply(m2, x, x, fuel=fuel),
-        lambda: diamond_check(m2, fuel=fuel),
-        lambda: diamond_check(plane, fuel=fuel),  # no overlap to resolve
         lambda: m2.with_fuel(fuel),
     ]
     for call in calls:
@@ -478,7 +476,7 @@ def test_overlap_fuel_boundary_is_the_leftmost_rewrite_count(family):
         words += [[xk] + t for t in _tail_words(p.rules[(j, i)])]
         counts[(k, j, i)] = sum(oracles.leftmost_rewrites(p, w) for w in words)
     for fuel in sorted({f for c in counts.values() for f in (c, c - 1) if f > 0}):
-        reports = diamond_check(p, fuel=fuel)
+        reports = diamond_check(p.with_fuel(fuel))
         assert [r.triple for r in reports] == sorted(counts)
         for r in reports:
             fits = counts[r.triple] <= fuel

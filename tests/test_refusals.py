@@ -100,6 +100,13 @@ CASES = [
      "'float' object cannot be interpreted as an integer"),
     (lambda: pbw.monomial(plane(), (0.5, 0)), TypeError,
      "'float' object cannot be interpreted as an integer"),
+    # so must a weight, an exponent of a weighed monomial and a prime's member
+    (lambda: plane(weights=[(1.5, 0), (0, 1)]), TypeError,
+     "'float' object cannot be interpreted as an integer"),
+    (lambda: weight_of(plane(), (0.5, 2)), TypeError,
+     "'float' object cannot be interpreted as an integer"),
+    (lambda: strat.HPrime((1.0, 2)), TypeError,
+     "'float' object cannot be interpreted as an integer"),
 ]
 
 
