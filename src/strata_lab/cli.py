@@ -112,14 +112,16 @@ def _stratum_record(report: strat.StratumReport) -> dict:
 
 
 def emit_dot(primes, ranks, name) -> str:
-    """DOT digraph of the inclusion poset; edges are covering relations."""
+    """DOT digraph of the inclusion poset; edges are covering relations.  The
+    graph ID is the name, quoted when it is a DOT keyword in any letter case."""
     def node_id(w):
         return "n" + "_".join(str(i) for i in w.members) if w.members else "n0"
 
     def label(w):
         return "{" + ",".join(str(i) for i in w.members) + "} rank " + str(ranks[w])
 
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    keyword = name.lower() in ("node", "edge", "graph", "digraph", "subgraph", "strict")
+    lines = [f'digraph "{name}" {{' if keyword else f"digraph {name} {{", "  rankdir=BT;"]
     for w in primes:
         lines.append(f'  {node_id(w)} [label="{label(w)}"];')
     for a, b in strat.poset_covers(primes):
@@ -143,8 +145,8 @@ def _cmd_verify(args, p):
 
 
 def _cmd_nf(args, p):
+    spec = _parse_specialize(args.specialize)  # a bad value is refused before any work
     element = dsl.evaluate_expression(p, args.expr)
-    spec = _parse_specialize(args.specialize)
     return {"algebra": p.name, "expr": args.expr,
             "terms": _term_list(element, spec), "zero": not element}
 
@@ -164,8 +166,8 @@ def _cmd_hilbert(args, p):
 
 
 def _cmd_qdet(args, matrix):
-    det = qdet.quantum_determinant(args.n, *matrix)
     spec = _parse_specialize(args.specialize)
+    det = qdet.quantum_determinant(args.n, *matrix)
     return {"n": args.n, "single_param": args.single_param,
             "terms": _term_list(det, spec)}
 

@@ -1,4 +1,5 @@
-"""Presentation DSL: parsing, expression evaluation, and printing.
+"""Presentation DSL: parsing, expression evaluation, and printing, whose text
+is returned only after parsing reads it back as the presentation it printed.
 
 Line-oriented source files describe either one explicit presentation
 
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 from . import zoo
 from .coeff import (Coefficient, NonUnitDivision, ParamContext, check_power_digits,
                     max_digits, sum_text)
-from .pbw import (Element, Fuel, NegativeExponent, Presentation, PresentationError,
-                  Rule, WordTooLong, product)
+from .pbw import (Element, EngineError, Fuel, NegativeExponent, Presentation,
+                  PresentationError, Rule, product)
 
 
 # Largest product of the size literals of a `use` line.  The generic families
@@ -234,26 +235,21 @@ def _ordered_product(a: Element, b: Element) -> Element:
     return Element(terms)
 
 
-def _evaluate(text: str, context: ParamContext, generators, invertible,
-              product) -> Element:
-    stream = _Stream(tokenize(text))
-    stream.skip_newlines()
-    value = _ExprParser(stream, context, generators, invertible, product).expr()
-    stream.skip_newlines()
-    t = stream.peek()
-    if t.kind != "EOF":
-        raise DslError(f"trailing input {t.value!r}", t.line, t.col)
-    return value
-
-
 def evaluate_expression(p: Presentation, text: str) -> Element:
     """Parse an expression over a presentation and reduce it to normal form.
 
     The whole expression is one engine call: its products share one budget
     of p.fuel rewrites."""
     budget = Fuel(p.fuel)
-    return _evaluate(text, p.context, p.generators, p.invertible,
-                     lambda a, b: product(p, a, b, budget))
+    stream = _Stream(tokenize(text))
+    stream.skip_newlines()
+    value = _ExprParser(stream, p.context, p.generators, p.invertible,
+                        lambda a, b: product(p, a, b, budget)).expr()
+    stream.skip_newlines()
+    t = stream.peek()
+    if t.kind != "EOF":
+        raise DslError(f"trailing input {t.value!r}", t.line, t.col)
+    return value
 
 
 # -- presentation files -------------------------------------------------------
@@ -399,15 +395,7 @@ def _parse_presentation(stream: _Stream) -> Presentation:
             raise DslError(f"swap coefficient {swap_coeff} is not a unit monomial",
                            tok.line, tok.col) from exc
         tail = Element({e: c for e, c in element.terms.items() if e != swap_exp})
-        if tail and invertible:
-            raise DslError(f"rule for ({gens[hi]}, {gens[lo]}) has a tail, but the "
-                           "generators are invertible", tok.line, tok.col)
         rules[(hi, lo)] = Rule(swap, tail)
-    missing = [(j, i) for j in range(n) for i in range(j) if (j, i) not in rules]
-    if missing:
-        j, i = missing[0]
-        raise DslError(f"missing rule pair ({gens[j]}, {gens[i]})",
-                       gen_toks[j].line, gen_toks[j].col)
 
     weights = None
     if stream.accept("NAME", ("weights",)):
@@ -444,31 +432,18 @@ def _parse_presentation(stream: _Stream) -> Presentation:
     try:
         return Presentation(context, gens, rules, weights,
                             invertible=invertible, name=name)
-    except WordTooLong as exc:  # a tail longer than the engine takes
-        tok = raw_rules[exc.pair][1]
+    except EngineError as exc:
+        if exc.pair is None:
+            raise
+        tok = raw_rules[exc.pair][1] if exc.pair in raw_rules else gen_toks[exc.pair[0]]
         raise DslError(str(exc), tok.line, tok.col) from exc
 
 
-def _one_name(text: str) -> bool:
-    """Whether the tokenizer reads text as exactly one NAME, text itself."""
-    try:
-        return [(t.kind, t.value) for t in tokenize(text)] == [("NAME", text), ("EOF", "")]
-    except DslError:  # a character no source text may hold
-        return False
-
-
 def print_presentation(p: Presentation) -> str:
-    """Render a presentation back to DSL source; parse(print(p)) == p.  Each
-    rule's right side is one flat sum over the parameters, then the generators.
-    A name that parse would not read back as that name is a DslError."""
-    if not _one_name(p.name):
-        raise DslError(f"algebra name {p.name!r} cannot be printed: the DSL would not "
-                       "read it back")
-    for g in p.generators:
-        if (not _one_name(g) or g in _SECTIONS or g in p.context
-                or g == p.generators[-1] == "invertible"):  # read as the flag
-            raise DslError(f"generator name {g!r} cannot be printed: the DSL would not "
-                           "read it back")
+    """Render a presentation back to DSL source.  Each rule's right side is one
+    flat sum over the parameters, then the generators.  The text is returned
+    only if parse reads it back as p; otherwise a DslError names the algebra,
+    with the parser's own located message when parse refused the text."""
     lines = [f"algebra {p.name}"]
     if p.context.symbols:
         lines.append("params " + " ".join(p.context.symbols))
@@ -489,4 +464,11 @@ def print_presentation(p: Presentation) -> str:
         lines.append("weights")
         for g, w in zip(p.generators, p.weights):
             lines.append(f"{g} = ({', '.join(str(x) for x in w)})")
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    try:
+        if parse(text) == p:
+            return text
+        reason = "the DSL reads the text back as another presentation"
+    except DslError as exc:
+        reason = str(exc)
+    raise DslError(f"algebra {p.name!r} cannot be printed: {reason}")

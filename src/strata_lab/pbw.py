@@ -55,7 +55,9 @@ MAX_WORD_LETTERS = 10 ** 7  # the longest word the engine expands into letters
 
 
 class EngineError(Exception):
-    """Base class for engine errors."""
+    """Base class for engine errors; pair is the (hi, lo) rule pair one names, or None."""
+
+    pair = None
 
 
 class FuelExhausted(EngineError):
@@ -71,9 +73,7 @@ class PresentationError(EngineError):
 
 
 class WordTooLong(EngineError):
-    """A word has more letters than MAX_WORD_LETTERS; pair is (hi, lo) for a rule's tail."""
-
-    pair = None
+    """A word has more letters than MAX_WORD_LETTERS."""
 
 
 class Element:
@@ -152,18 +152,23 @@ class Presentation:
             raise PresentationError("weight vectors of unequal rank")
 
         need = {(j, i) for j in range(n) for i in range(j)}
-        got = set(rules)
-        if got != need:
-            missing = sorted(need - got)
-            extra = sorted(got - need)
-            raise PresentationError(f"rule pairs mismatch: missing {missing}, extra {extra}")
+        if rules.keys() != need:
+            extra = sorted(rules.keys() - need)
+            if extra:
+                raise PresentationError(f"rule pairs {extra} are not descending generator pairs")
+            j, i = min(need - rules.keys())
+            exc = PresentationError(f"missing rule pair ({gens[j]}, {gens[i]})")
+            exc.pair = (j, i)
+            raise exc
         width = len(context)
         for (j, i), rule in rules.items():
             if len(rule.swap.exponents) != width:
                 raise PresentationError(f"swap for pair ({j},{i}) has wrong width")
             if rule.tail and invertible:
-                raise PresentationError(
-                    f"pair ({j},{i}) touches an invertible generator but has a tail")
+                exc = PresentationError(f"rule for ({gens[j]}, {gens[i]}) has a tail, but "
+                                        "the generators are invertible")
+                exc.pair = (j, i)
+                raise exc
             for exp, c in rule.tail.terms.items():
                 if len(exp) != n:
                     raise PresentationError(f"tail monomial width mismatch in pair ({j},{i})")

@@ -259,6 +259,18 @@ def test_parse_missing_rule_pair():
         parse(bad)
 
 
+def test_a_presentation_refusal_naming_no_pair_is_not_located(monkeypatch):
+    # the DSL's own checks leave Presentation only refusals that name a rule
+    # pair; one that names none leaves parse as it was raised
+    def refuse(*args, **kwargs):
+        raise pbw.PresentationError("no pair named")
+
+    monkeypatch.setattr(dsl, "Presentation", refuse)
+    with pytest.raises(pbw.PresentationError) as info:
+        parse(PLANE_FILE)
+    assert type(info.value) is pbw.PresentationError and info.value.pair is None
+
+
 def test_parse_unknown_symbol():
     bad = PLANE_FILE.replace("q^-1", "r^-1")
     with pytest.raises(DslError, match="unknown symbol"):
@@ -410,14 +422,25 @@ def test_printer_refuses_names_the_parser_cannot_read_back(params, gens, bad):
     from strata_lab.pbw import Presentation, Rule
     ctx = ParamContext(params)
     p = Presentation(ctx, gens, {(1, 0): Rule(UnitMonomial(1, (0,) * len(params)))})
-    with pytest.raises(DslError, match=f"generator name {bad!r} cannot be printed"):
+    located = {  # what the parser says of the printed text, where it says it
+        "invertible": "line 4, col 1: rule over unknown generators 'invertible', 'x'",
+        "weights": "line 2, col 14: generator name 'weights' clashes with a keyword or "
+                   "parameter",
+        "q": "line 3, col 12: generator name 'q' clashes with a keyword or parameter",
+        "x y": "line 4, col 7: expected '=', found 'y'",
+    }[bad]
+    with pytest.raises(DslError) as info:
         print_presentation(p)
+    assert str(info.value) == f"algebra 'A' cannot be printed: {located}"
     # the same names elsewhere still read back
     ok = Presentation(ctx, ["invertible", "x"], p.rules)
     assert parse(print_presentation(ok)) == ok
-    for name in ("my algebra", "x#1", ""):
-        with pytest.raises(DslError, match="algebra name .* cannot be printed"):
+    for name, reason in [("my algebra", "line 1, col 12: expected 'EOF', found 'algebra'"),
+                         ("x#1", "the DSL reads the text back as another presentation"),
+                         ("", "line 1, col 9: expected 'NAME', found '\\n'")]:
+        with pytest.raises(DslError) as info:
             print_presentation(Presentation(ctx, ok.generators, p.rules, name=name))
+        assert str(info.value) == f"algebra {name!r} cannot be printed: {reason}"
 
 
 # A tail that brings z*x*y back inside its own reduction (z*x*y -> z*z*y ->
@@ -653,6 +676,33 @@ def test_poset_json_and_dot(tmp_path, capsys):
     code, out = invoke(capsys, "poset", path0, "--dot")
     assert code == 0
     assert out.count("label=") == 1 and "->" not in out
+
+
+@pytest.mark.parametrize("name,graph_id", [
+    ("node", '"node"'), ("Graph", '"Graph"'), ("STRICT", '"STRICT"'), ("edge", '"edge"'),
+    ("digraph", '"digraph"'), ("subGraph", '"subGraph"'), ("nodes", "nodes"),
+])
+def test_poset_dot_quotes_a_keyword_graph_id(tmp_path, capsys, name, graph_id):
+    # DOT keywords are matched in any letter case, and a graph ID equal to one
+    # must be quoted; any other DSL name stays bare, as every golden has it
+    path = write(tmp_path, f"algebra {name}\nparams q\ngenerators x y\nrules\n"
+                           "y * x = q * x * y\n")
+    code, out = invoke(capsys, "poset", path, "--dot")
+    assert code == 0
+    assert out.startswith(f"digraph {graph_id} {{\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["nf", "use quantized_weyl(n=2)\n", "(y1*x1*y2*x2)^3*(x2*y2*x1*y1)^3", "--fuel", "5",
+     "--specialize", "q_1=abc"],
+    ["qdet", None, "--n", "5", "--specialize", "q=abc"],
+], ids=["nf over budget", "qdet"])
+def test_a_bad_specialize_value_is_refused_before_the_engine_runs(tmp_path, capsys, argv):
+    command, source, *rest = argv
+    code, out = invoke(capsys, command, *([write(tmp_path, source)] if source else []), *rest)
+    assert code == 2
+    rep = report_of(out)
+    assert (rep["status"], rep["results"]["message"]) == ("error", "bad rational 'abc'")
 
 
 @pytest.mark.parametrize("single", [False, True], ids=["generic", "single"])

@@ -87,7 +87,7 @@ CASES = [
     (lambda: lattice.det([[1, 2]]), ValueError, "determinant needs a square matrix"),
     (lambda: weight_of(plane(), (1,)), ValueError, "exponent width does not match presentation"),
     (lambda: print_presentation(plane(gens=["x", "y$"])), DslError,
-     "generator name 'y$' cannot be printed: the DSL would not read it back"),
+     "algebra 'A' cannot be printed: line 2, col 15: unexpected character '$'"),
     # more CLI usage errors; a zero mantissa with an exponent too long to compute
     # is zero, not TooManyDigits
     (["nf", "x1 x2"], ("error", 2), "line 1, col 4: trailing input 'x2'"),
@@ -107,7 +107,18 @@ CASES = [
      "'float' object cannot be interpreted as an integer"),
     (lambda: strat.HPrime((1.0, 2)), TypeError,
      "'float' object cannot be interpreted as an integer"),
+    # the rule pairs Presentation alone judges; a refusal of one pair names it as .pair
+    (lambda: Presentation(NONE, ["x", "y"], {}), PresentationError, "missing rule pair (y, x)"),
+    (lambda: plane(tail=Element({(2, 0): Coefficient.one(NONE)}), invertible=True),
+     PresentationError, "rule for (y, x) has a tail, but the generators are invertible"),
+    (lambda: Presentation(NONE, ["x", "y"], {(1, 0): Rule(UnitMonomial(1, ())),
+                                             (0, 1): Rule(UnitMonomial(1, ()))}),
+     PresentationError, "rule pairs [(0, 1)] are not descending generator pairs"),
 ]
+
+# The rule pair each refusal names, for those that name one.
+PAIRS = {"missing rule pair (y, x)": (1, 0),
+         "rule for (y, x) has a tail, but the generators are invertible": (1, 0)}
 
 
 @pytest.mark.parametrize("call,error,message", CASES)
@@ -122,3 +133,4 @@ def test_refusal_type_and_message(tmp_path, capsys, call, error, message):
     with pytest.raises(error) as info:
         call()
     assert str(info.value) == message
+    assert getattr(info.value, "pair", None) == PAIRS.get(message)
