@@ -397,7 +397,10 @@ def _envelope(command: str, source: str, status: str, results) -> str:
         "results": results,
         "citations": COMMANDS[command].citations,
     }
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    try:
+        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    except ValueError as exc:  # an int longer than max_digits(), from any producer
+        raise TooManyDigits("an integer in the results") from exc
 
 
 def run(argv) -> int:
@@ -425,14 +428,15 @@ def run(argv) -> int:
             data = (zoo.single_param_matrix_data if args.single_param
                     else zoo.generic_matrix_data)(args.n)
         results = command.handler(args, data)
+        if not isinstance(results, str):  # DOT text goes out as it is
+            results = _envelope(args.command, source, "ok", results)
     except _REPORTED as exc:
         status, code = next((status, code) for types, status, code in _OUTCOMES
                             if isinstance(exc, types))
         results = {**getattr(exc, "results", {}), "message": str(exc)}
         sys.stdout.write(_envelope(args.command, source, status, results))
         return code
-    sys.stdout.write(results if isinstance(results, str)  # DOT text goes out as it is
-                     else _envelope(args.command, source, "ok", results))
+    sys.stdout.write(results)
     return 0
 
 

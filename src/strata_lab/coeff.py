@@ -38,8 +38,8 @@ class SpecializationError(CoeffError):
 class TooManyDigits(CoeffError):
     """An integer longer than the interpreter prints (sys.get_int_max_str_digits)."""
 
-    def __init__(self):
-        super().__init__(f"coefficient has more than {max_digits()} digits, "
+    def __init__(self, what: str = "coefficient"):
+        super().__init__(f"{what} has more than {max_digits()} digits, "
                          "the limit for printing an integer")
 
 
@@ -237,7 +237,7 @@ class Coefficient:
                 c0 = out.get(exp, 0) + c1 * c2
                 if c0:
                     out[exp] = c0
-                elif exp in out:
+                else:  # out held -c1*c2: every stored term is nonzero
                     del out[exp]
         res = Coefficient.__new__(Coefficient)
         res.context, res.terms = self.context, out

@@ -111,7 +111,7 @@ def hnf(A):
                         done = False
             if done:
                 break
-        if r < rows and H[r][c]:
+        if H[r][c]:
             for i in range(r):
                 q = H[i][c] // H[r][c]
                 if q:

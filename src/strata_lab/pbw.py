@@ -22,8 +22,8 @@ only ride along (Bergman, The diamond lemma for ring theory, Adv. Math. 29,
 1978).  A pending item carries its coefficient factored: its seed, the sorted
 tail coefficients it has picked up, and a sign and parameter shift that
 together are the product of its swap units.  Finished words are grouped by
-monomial, seed and tail coefficients, and each group's coefficient is
-multiplied out once, after the last rewrite.
+seed and tail coefficients, which fix the monomial, and each group's
+coefficient is multiplied out once, after the last rewrite, with no cache.
 
 A word that comes back to a rewrite with a tail within one call, as words
 do in quantum matrices, Weyl, symplectic and Euclidean spaces, is reduced
@@ -426,18 +426,14 @@ def _absorb(finished: dict, groups: dict, base, factors, sign, shift):
 
 
 def _multiply_out(p: Presentation, bases: list, finished: dict, out: list) -> Element:
-    """Sum the terms out and the finished words: each distinct base * product
-    of factors is computed once, and each group's shift table is multiplied
-    into it once."""
+    """Sum the terms out and the finished words.  (base, factors) fixes a group's
+    monomial (each tail term adds its exponents less its pair's two letters), so
+    each group's base * factors * shift table is multiplied out once, uncached."""
     unit = {(0,) * len(p.context): 1}
-    products: dict = {}
     for (mono, base, factors), shifts in finished.items():
-        c = products.get((base, factors))
-        if c is None:
-            c = bases[base]
-            for f in factors:
-                c = c * p._factors[f]
-            products[base, factors] = c
+        c = bases[base]
+        for f in factors:
+            c = c * p._factors[f]
         if shifts != unit:
             table = Coefficient.__new__(Coefficient)
             table.context, table.terms = p.context, {s: m for s, m in shifts.items() if m}

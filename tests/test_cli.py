@@ -944,6 +944,25 @@ def test_parameter_exponents_too_long_to_print_fail(tmp_path, capsys, digit_limi
                                          "the limit for printing an integer")
 
 
+# A monomial exponent and a weight are not coefficients, and no producer counts
+# their digits; the envelope refuses every integer it cannot print.
+WEIGHTED = "algebra a\ngenerators x\nweights\nx = (9)"
+
+
+@pytest.mark.parametrize("source,argv", [
+    ("use quantum_affine(n=2)", ["nf", f"(x1^{'9' * 4300})^9"]),
+    (WEIGHTED, ["weights", f"x^{'9' * 4300}"]),
+    (WEIGHTED, ["eigencheck", f"x^{'9' * 4300}"]),
+], ids=["monomial exponent", "weights", "eigencheck"])
+def test_result_integers_too_long_to_print_fail(tmp_path, capsys, digit_limit, source, argv):
+    code, out = invoke(capsys, argv[0], write(tmp_path, source + "\n"), *argv[1:])
+    assert code == 1
+    rep = report_of(out)
+    assert rep["status"] == "fail"
+    assert rep["results"]["message"] == ("an integer in the results has more than 4300 "
+                                         "digits, the limit for printing an integer")
+
+
 @pytest.mark.parametrize("family,expr,letters", [
     ("quantum_affine(n=2)", "x2^99999999999999999999*x1", 99999999999999999999),
     ("quantum_affine(n=2)", "x2^9999999999*x1", 9999999999),
