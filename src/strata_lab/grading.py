@@ -13,7 +13,7 @@ from operator import index
 from typing import Iterator, Sequence
 
 from .coeff import Coefficient
-from .pbw import Element, Presentation, gen, multiply, order_key
+from .pbw import Element, Presentation, multiply, order_key
 
 
 def weight_of(p: Presentation, exponents: Sequence[int]) -> tuple[int, ...]:
@@ -41,8 +41,7 @@ def is_homogeneous(p: Presentation, a: Element) -> tuple[int, ...] | None:
 
 def commutation_products(p: Presentation, c: Element) -> Iterator[tuple[Element, Element]]:
     """(c*x_g, x_g*c) for each generator g in order, each pair computed when consumed."""
-    for g in range(p.ngens):
-        xg = gen(p, g)
+    for xg in p.gen_elements:
         yield multiply(p, c, xg), multiply(p, xg, c)
 
 

@@ -13,9 +13,11 @@ pairs (normal_form its word, product one concatenation per term pair,
 diamond_check the words each side of an overlap holds after its forced first
 rewrite).  A tail-free rule only permutes letters, so a seed that meets no
 tail is one term, x^a x^b = (prod_{j>i} swap_ji^(a_j b_i)) x^(a+b), charged its
-inverted letter pairs (_closed_form); only the others are rewritten, each as a
-list of generator indices, one per letter: a tail makes its presentation
-polynomial, so every letter is a generator to the first power.  Which word is
+inverted letter pairs (_closed_form, which shifts only the parameters of the
+nonzero exponents the swap table lists); a product of two one-term elements
+tries it with no seed list.  Only the others are rewritten, each as a list of
+generator indices, one per letter: a tail makes its presentation polynomial,
+so every letter is a generator to the first power.  Which word is
 rewritten next, and where, depends only on the words: a nonzero coefficient
 times a swap unit or a tail coefficient is never zero, so the coefficients
 only ride along (Bergman, The diamond lemma for ring theory, Adv. Math. 29,
@@ -129,8 +131,8 @@ class Rule:
 class Presentation:
     """Ordered generators, descending-pair rules, a torus grading, and a fuel bound."""
 
-    __slots__ = ("name", "context", "generators", "invertible", "rules",
-                 "weights", "rank", "fuel", "_gen_index", "_moves", "_factors", "_tailed")
+    __slots__ = ("name", "context", "generators", "invertible", "rules", "weights",
+                 "rank", "fuel", "_gen_index", "_moves", "_factors", "_tailed", "_gen_elements")
 
     def __init__(self, context: ParamContext, generators: Sequence[str],
                  rules: Mapping[tuple[int, int], Rule],
@@ -188,9 +190,9 @@ class Presentation:
         self.fuel = DEFAULT_FUEL
         self._gen_index = {g: k for k, g in enumerate(gens)}
         # _moves[hi][lo] = (swap sign, swap exponents, ((factor id, tail word as
-        # generator indices), ...)), the rule of a descending pair; _factors[id]
-        # is the coefficient of that tail term; bit lo of _tailed[hi] is set when
-        # (hi, lo) has a tail.
+        # generator indices), ...), the swap's nonzero (parameter, exponent)
+        # pairs), the rule of a descending pair; _factors[id] is the coefficient
+        # of that tail term; bit lo of _tailed[hi] is set when (hi, lo) has a tail.
         self._moves = [[None] * n for _ in range(n)]
         self._factors = []
         self._tailed = [0] * n
@@ -205,7 +207,9 @@ class Presentation:
                 tails.append((len(self._factors), [g for g, e in word for _ in range(e)]))
                 self._factors.append(c)
                 self._tailed[j] |= 1 << i
-            self._moves[j][i] = (rule.swap.sign, rule.swap.exponents, tuple(tails))
+            self._moves[j][i] = (rule.swap.sign, rule.swap.exponents, tuple(tails),
+                                 tuple((k, u) for k, u in enumerate(rule.swap.exponents) if u))
+        self._gen_elements = None
 
     @property
     def ngens(self) -> int:
@@ -222,6 +226,13 @@ class Presentation:
         if not 0 <= i < len(self.generators):
             raise PresentationError(f"generator index {i} out of range")
         return i
+
+    @property
+    def gen_elements(self) -> tuple[Element, ...]:
+        """Every generator as an element, built at first use and then kept."""
+        if self._gen_elements is None:
+            self._gen_elements = tuple(gen(self, g) for g in range(len(self.generators)))
+        return self._gen_elements
 
     def with_fuel(self, fuel: int) -> "Presentation":
         """A copy with another budget; it shares the already validated fields."""
@@ -253,13 +264,13 @@ class Fuel:
         self.left = budget
 
 
-def _checked(p: Presentation, pairs) -> tuple[list[tuple[int, int]], int]:
+def _checked(p: Presentation, pairs, extra: int = 0) -> tuple[list[tuple[int, int]], int]:
     """A word's (generator index, nonzero exponent) pairs and its number of
     letters, counted, not built: the one check of a word entering the engine,
-    tails included (NegativeExponent, then WordTooLong; product checks a term
-    pair's total alike), whose indices the caller has range-checked.  Rewriting
-    keeps a word valid: swaps only permute letters, tails passed this check, and
-    inverse letters meet no tail."""
+    tails included (NegativeExponent, then WordTooLong for the word, then for
+    the word and the extra letters product puts after it), whose indices the
+    caller has range-checked.  Rewriting keeps a word valid: swaps only permute
+    letters, tails passed this check, and inverse letters meet no tail."""
     word, count = [], 0
     for i, e in pairs:
         if e:
@@ -268,8 +279,14 @@ def _checked(p: Presentation, pairs) -> tuple[list[tuple[int, int]], int]:
                     f"negative power of non-invertible generator {p.generators[i]}")
             word.append((i, e))
             count += abs(e)
-    if count > MAX_WORD_LETTERS:
-        raise _too_long(count)
+    if count + extra > MAX_WORD_LETTERS:
+        total = count if count > MAX_WORD_LETTERS else count + extra
+        try:
+            text = str(total)
+        except ValueError:  # longer than the interpreter prints
+            text = f"about 2^{total.bit_length()}"
+        raise WordTooLong(f"a word of {text} letters is longer than the limit of "
+                          f"{MAX_WORD_LETTERS} letters")
     return word, count
 
 
@@ -286,37 +303,32 @@ def _closed_form(p: Presentation, c: Coefficient, word, fuel: Fuel):
         reach |= tailed[i]
     net, tot = [0] * n, [0] * n  # signed and absolute letter counts so far
     seen = count = 0
-    sign, shift = 1, [0] * len(p.context)
+    sign, shift = 1, {}  # shift: parameter -> exponent, touched ones only
     for i, f in word:
         for j in range(i + 1, seen.bit_length()):
             if tot[j]:
-                usign, uexps, _ = moves[j][i]
+                usign, _, _, nonzero = moves[j][i]
                 pairs = tot[j] * abs(f)
                 count += pairs
                 sign *= usign if pairs & 1 else 1
-                for k in itertools.compress(range(len(uexps)), uexps):
-                    shift[k] += net[j] * f * uexps[k]
+                for k, u in nonzero:
+                    shift[k] = shift.get(k, 0) + net[j] * f * u
         net[i] += f
         tot[i] += abs(f)
         seen |= 1 << i
     fuel.left -= count
     if fuel.left < 0:
         raise FuelExhausted("rewrite budget exceeded")
-    if sign == 1 and not any(shift):
+    if sign == 1 and not any(shift.values()):
         return tuple(net), c
     term = Coefficient.__new__(Coefficient)
-    term.context = p.context
-    term.terms = {tuple(map(add, e, shift)): sign * v for e, v in c.terms.items()}
+    term.context, term.terms = p.context, {}
+    for e, v in c.terms.items():
+        e = list(e)
+        for k, s in shift.items():
+            e[k] += s
+        term.terms[tuple(e)] = sign * v
     return tuple(net), term
-
-
-def _too_long(count: int) -> WordTooLong:
-    try:
-        text = str(count)
-    except ValueError:  # longer than the interpreter prints
-        text = f"about 2^{count.bit_length()}"
-    return WordTooLong(f"a word of {text} letters is longer than the limit of "
-                       f"{MAX_WORD_LETTERS} letters")
 
 
 def _reduce(p: Presentation, seeds: list, fuel: Fuel) -> Element:
@@ -358,7 +370,7 @@ def _reduce(p: Presentation, seeds: list, fuel: Fuel) -> Element:
             for k in range(resume, len(word) - 1):
                 if word[k] > word[k + 1]:
                     a, b = word[k], word[k + 1]
-                    usign, uexps, tails = moves[a][b]
+                    usign, uexps, tails, _ = moves[a][b]
                     if tails:
                         key = tuple(word)
                         mark = hash(key)
@@ -454,15 +466,22 @@ def product(p: Presentation, a: Element, b: Element, fuel: Fuel) -> Element:
     on the caller's budget.  A term pair whose letters add up past
     MAX_WORD_LETTERS is refused before any letter is built; a pair that meets
     no tail is multiplied in closed form."""
+    if len(a.terms) == 1 == len(b.terms):  # the checks below, in order, but no lists
+        ((ea, ca),), ((eb, cb),) = a.terms.items(), b.terms.items()
+        if not len(ea) == len(eb) == p.ngens:
+            raise PresentationError("element width does not match presentation")
+        wb, kb = _checked(p, enumerate(eb))
+        wa, _ = _checked(p, enumerate(ea), kb)
+        seed = (ca * cb, wa + wb)
+        term = _closed_form(p, *seed, fuel)
+        return _reduce(p, [seed], fuel) if term is None else Element([term])
     if any(len(exp) != p.ngens for x in (a, b) for exp in x.terms):
         raise PresentationError("element width does not match presentation")
     right = [(cb, *_checked(p, enumerate(eb))) for eb, cb in b.terms.items()]
     longest = max([k for *_, k in right], default=0)
     seeds = []
     for ea, ca in a.terms.items():
-        wa, count = _checked(p, enumerate(ea))
-        if count + longest > MAX_WORD_LETTERS:
-            raise _too_long(count + longest)
+        wa, _ = _checked(p, enumerate(ea), longest)
         seeds += [(ca * cb, wa + wb) for cb, wb, _ in right]
     return _reduce(p, seeds, fuel)
 

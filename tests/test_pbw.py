@@ -734,6 +734,80 @@ def test_products_mixing_closed_form_and_rewriting_match_the_oracles(family, mon
     assert any(taken) and not all(taken)
 
 
+ONE_TERM_FAMILIES = {
+    # family: (builder, largest exponent size, tail-free)
+    "quantum_torus_generic(5)": (lambda: zoo.quantum_torus_generic(5), 3, True),
+    "quantum_affine_generic(8)": (lambda: zoo.quantum_affine_generic(8), 2, True),
+    "quantum_torus_single(4)": (lambda: zoo.quantum_torus_single(4), 3, True),
+    "quantized_weyl_generic(2)": (lambda: zoo.quantized_weyl_generic(2), 1, False),
+}
+
+
+@pytest.mark.parametrize("family", sorted(ONE_TERM_FAMILIES))
+def test_one_term_products_match_the_word_and_the_oracles(family, monkeypatch):
+    # a product of two one-term elements is the normal form of its concatenated
+    # word times both coefficients, finished in closed form when the word meets
+    # no tail and rewritten otherwise; its budget suffices at the leftmost
+    # rewrite count and not one below it, on either path
+    build, size, tail_free = ONE_TERM_FAMILIES[family]
+    p = build()
+    taken = _closed_form_spy(monkeypatch)
+    seed = zlib.crc32(family.encode())
+    print(f"seed {seed}")
+    rng = random.Random(seed)
+    for _ in range(30):
+        terms = []
+        for _ in range(2):
+            exps = tuple(rng.randint(-size if inv else 0, size) for inv in p.invertible)
+            c = Coefficient.monomial(p.context, rng.choice([-2, -1, 1, 3]),
+                                     (rng.randint(-1, 1) for _ in p.context.symbols))
+            terms.append((exps, c))
+        (ea, ca), (eb, cb) = terms
+        word = [(i, e) for exps in (ea, eb) for i, e in enumerate(exps) if e]
+        letters = _letters_of(word)
+        count = oracles.leftmost_rewrites(p, letters)
+        want = oracles.reduce_rightmost(p, letters, ca * cb)
+        assert normal_form(p, word, fuel=max(count, 1)).scale(ca * cb) == want, word
+        a, b = Element({ea: ca}), Element({eb: cb})
+        budget = Fuel(count + 1)
+        assert product(p, a, b, budget) == want, word
+        assert budget.left == 1
+        if count:
+            budget.left = count - 1
+            with pytest.raises(FuelExhausted):
+                product(p, a, b, budget)
+    assert all(taken) if tail_free else any(taken) and not all(taken)
+
+
+@pytest.mark.parametrize("terms", [1, 2], ids=["one term", "two terms"])
+def test_product_refusals_keep_their_order(terms, monkeypatch):
+    # a factor of the wrong width first, then the right factor's word, then the
+    # left's, then the pair's letters; within a word a negative power of a
+    # polynomial generator before its length; nothing is charged
+    monkeypatch.setattr(pbw, "MAX_WORD_LETTERS", 4)
+    plane = zoo.quantum_affine_generic(2)
+    one = Coefficient.one(plane.context)
+
+    def element(exps):  # with terms == 2, the unit rides along
+        return Element({exps: one, (0,) * len(exps): one} if terms == 2 else {exps: one})
+
+    neg, long, three = element((-1, 1)), element((0, 5)), element((3, 0))
+    wide = element((1, 0, 0))
+    for a, b, exc, message in [
+        (wide, neg, PresentationError, "^element width does not match presentation$"),
+        (neg, wide, PresentationError, "^element width does not match presentation$"),
+        (neg, long, WordTooLong, "^a word of 5 letters"),
+        (long, neg, NegativeExponent, "^negative power of non-invertible generator x1$"),
+        (long, three, WordTooLong, "^a word of 5 letters"),
+        (neg, three, NegativeExponent, "^negative power of non-invertible generator x1$"),
+        (three, three, WordTooLong, "^a word of 6 letters"),
+    ]:
+        fuel = Fuel(5)
+        with pytest.raises(exc, match=message):
+            product(plane, a, b, fuel)
+        assert fuel.left == 5
+
+
 def _closed_form_spy(monkeypatch):
     """The list of whether each seed was finished in closed form."""
     taken = []

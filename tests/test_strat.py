@@ -4,7 +4,7 @@ import zlib
 
 import pytest
 
-from strata_lab import lattice, zoo
+from strata_lab import lattice, pbw, strat, zoo
 from strata_lab.coeff import Coefficient, ParamContext
 from strata_lab.pbw import Presentation, Rule, gen, monomial, multiply
 from strata_lab.strat import (GenericityUnverified, HPrime, StratError,
@@ -122,6 +122,45 @@ def test_quotient_presentation(qa2):
     budgeted = qa2.with_fuel(7)
     assert stratum_torus(budgeted, HPrime((1,))).fuel == 7
     assert normal_separation_witness(budgeted, HPrime((1,)), HPrime((1, 2))).quotient.fuel == 7
+
+
+def test_generators_are_built_once_per_torus(monkeypatch):
+    # the first commutation check of a torus builds its generators and keeps
+    # them; every answer is the one the generators built afresh give.  In this
+    # space x_j x_i = q^e x_i x_j, e = 1..6, the four tori on three survivors
+    # have four different centers, spanned by these vectors
+    ctx = ParamContext(["q"])
+    q = Coefficient.symbol(ctx, "q")
+    pairs = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+    parent = zoo.quantum_affine(zoo.AntisymmetricMatrixSpec(
+        ctx, 4, {pair: q ** e for e, pair in enumerate(pairs, 1)}))
+    vectors = [(6, -5, 4), (6, -3, 2), (5, -3, 1), (4, -2, 1), (0, 0, 0), (1, 0, 0)]
+    built = []
+    real = pbw.gen
+    monkeypatch.setattr(pbw, "gen", lambda p, i: built.append(i) or real(p, i))
+
+    def central(t):
+        return [all(multiply(t, e, real(t, g)) == multiply(t, real(t, g), e)
+                    for g in range(t.ngens)) for e in (monomial(t, v) for v in vectors)]
+
+    def builds(t, want):
+        built.clear()
+        assert [strat.is_central(t, monomial(t, v)) for v in vectors] == want
+        return len(built)
+
+    tori = [stratum_torus(parent, HPrime((i,))) for i in range(1, 5)]
+    answers = [central(t) for t in tori]
+    assert len({tuple(a) for a in answers}) == 4
+    torus, want = tori[0], answers[0]
+    early = torus.with_fuel(50)  # a budget twin made before the first check
+    assert (builds(torus, want), builds(torus, want)) == (3, 0)
+    assert (builds(torus.with_fuel(50), want), builds(early, want)) == (0, 3)
+    # the cache is no part of equality: an equal torus built afresh, and the
+    # tori of the other primes of the same size, answer for their own generators
+    again = stratum_torus(parent, HPrime((1,)))
+    assert again == torus and builds(again, want) == 3
+    for t, want in zip(tori[1:], answers[1:]):
+        assert t != torus and builds(t, want) == 3
 
 
 def test_stratum_ranks_n2_generic(qa2):
