@@ -233,9 +233,8 @@ def _cmd_strata(args, p):
         record = _stratum_record(report)
         if args.box:
             brute = strat.brute_force_central_monomials(strat.stratum_torus(p, w), args.box)
-            span = [v for v in product(range(-args.box, args.box + 1),
-                                       repeat=report.torus_size)
-                    if in_row_span(report.center_basis, v)]
+            span = in_row_span(report.center_basis, product(range(-args.box, args.box + 1),
+                                                            repeat=report.torus_size))
             record["box_check"] = span == brute
             ok = ok and record["box_check"]
         records.append(record)

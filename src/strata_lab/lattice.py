@@ -159,17 +159,20 @@ def kernel_basis(A):
     return basis
 
 
-def in_row_span(basis, v):
-    """Whether v lies in the integer row span of the given vectors."""
-    vec = list(v)
-    H, _ = hnf([list(b) for b in basis])
-    for row in H:
-        if not any(row):
-            continue
-        piv = next(j for j, x in enumerate(row) if x)
-        if vec[piv] % row[piv]:
-            return False
-        q = vec[piv] // row[piv]
-        if q:
-            vec = [a - q * b for a, b in zip(vec, row)]
-    return not any(vec)
+def in_row_span(basis, vectors):
+    """The vectors, in order, that lie in the integer row span of basis, each
+    reduced against one Hermite form of basis."""
+    rows = [(next(j for j, x in enumerate(row) if x), row)
+            for row in hnf([list(b) for b in basis])[0] if any(row)]
+    spanned = []
+    for v in vectors:
+        vec = list(v)
+        for piv, row in rows:
+            q, r = divmod(vec[piv], row[piv])
+            if r:
+                break  # vec[piv] stays nonzero, so v is not kept
+            if q:
+                vec = [a - q * b for a, b in zip(vec, row)]
+        if not any(vec):
+            spanned.append(v)
+    return spanned

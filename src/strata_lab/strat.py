@@ -44,9 +44,6 @@ class HPrime:
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(sorted(set(map(index, self.members)))))
 
-    def issubset(self, other: "HPrime") -> bool:
-        return set(self.members) <= set(other.members)
-
 
 # -- structural checks ---------------------------------------------------------
 
@@ -56,11 +53,8 @@ def check_quantum_affine(p: Presentation) -> None:
     n = p.ngens
     if any(p.invertible):
         raise StratError("expected polynomial-kind generators")
-    if p.rank != n:
+    if p.weights != tuple(tuple(1 if t == i else 0 for t in range(n)) for i in range(n)):
         raise StratError("expected the rank-n grading of a quantum affine space")
-    for i, w in enumerate(p.weights):
-        if w != tuple(1 if t == i else 0 for t in range(n)):
-            raise StratError("expected the standard weight of each generator")
     for pair, rule in p.rules.items():
         if rule.tail:
             raise StratError(f"rule {pair} has a tail; not a quantum affine space")
@@ -125,23 +119,20 @@ def _survivors(p: Presentation, w: HPrime) -> list[int]:
     return [i for i in range(p.ngens) if i + 1 not in w.members]
 
 
-def _quotient(p: Presentation, w: HPrime, survivors: list[int],
-              invertible: bool) -> Presentation:
-    """Quantum affine space (or torus) on the survivors, the generators outside
-    w, of a parent the caller has checked."""
+def _quotient(p: Presentation, survivors: list[int], invertible: bool) -> Presentation:
+    """Quantum affine space (or torus) on the survivors of a parent the caller
+    has checked, under the parent's name and budget."""
     rules = {(b, a): Rule(p.rules[(survivors[b], survivors[a])].swap)
              for b in range(len(survivors)) for a in range(b)}
-    kind = "torus" if invertible else "affine"
-    name = f"{p.name}_mod_{''.join(str(i) for i in w.members) or '0'}_{kind}"
     return Presentation(p.context, [p.generators[i] for i in survivors], rules,
                         [p.weights[i] for i in survivors], invertible=invertible,
-                        name=name).with_fuel(p.fuel)
+                        name=p.name).with_fuel(p.fuel)
 
 
 def stratum_torus(p: Presentation, w: HPrime) -> Presentation:
     """Localization of the quotient at its surviving generators."""
     check_quantum_affine(p)
-    return _quotient(p, w, _survivors(p, w), True)
+    return _quotient(p, _survivors(p, w), True)
 
 
 def is_central(torus: Presentation, e: Element) -> bool:
@@ -182,7 +173,7 @@ def stratum_report(p: Presentation, w: HPrime) -> StratumReport:
     basis = lattice.kernel_basis([list(row) for row in rows]) if rows else \
         [tuple(1 if j == i else 0 for j in range(size)) for i in range(size)]
     if basis:
-        torus = _quotient(p, w, survivors, True)
+        torus = _quotient(p, survivors, True)
         for v in basis:
             if not is_central(torus, monomial(torus, v)):
                 raise AssertionError("kernel vector is not central in the torus")
@@ -211,11 +202,11 @@ class SeparationWitness:
 
 def normal_separation_witness(p: Presentation, small: HPrime, large: HPrime) -> SeparationWitness:
     """A homogeneous scalar-normal generator separating two comparable primes."""
-    if not small.issubset(large) or small == large:
+    if not set(small.members) < set(large.members):
         raise StratError("need a strict inclusion of stable primes")
     _survivors(p, large)  # each index of large, so each of small, names a generator
     check_quantum_affine(p)
-    quotient = _quotient(p, small, _survivors(p, small), False)
+    quotient = _quotient(p, _survivors(p, small), False)
     i = min(set(large.members) - set(small.members))
     cert = scalar_normality_check(quotient, gen(quotient, p.generators[i - 1]))
     if cert is None:

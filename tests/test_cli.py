@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from strata_lab import cli, dsl, pbw, strat, zoo
+from strata_lab import cli, dsl, lattice, pbw, strat, zoo
 from strata_lab.cli import run
 from strata_lab.coeff import Coefficient
 from strata_lab.dsl import DslError, evaluate_expression, parse, print_presentation
@@ -724,6 +724,22 @@ def test_each_entry_point_checks_the_parent_once(tmp_path, capsys, monkeypatch,
     assert len(calls) == checks
     if argv[0] == "center":  # the prime's one survivor gives a nonempty center
         assert report_of(out)["results"]["center_rank"] == 1
+
+
+def test_box_check_takes_one_hermite_form_per_stratum(tmp_path, capsys, monkeypatch):
+    # strata --box reduces every box point of a stratum against one Hermite
+    # form of its center basis: one hnf call more per stable prime
+    path = write(tmp_path, "use quantum_affine(n=3, single_param=true)\n")
+    calls = []
+    hnf = lattice.hnf
+    monkeypatch.setattr(lattice, "hnf", lambda A: calls.append(A) or hnf(A))
+    counts = []
+    for box in ([], ["--box", "1"]):
+        calls.clear()
+        code, _ = invoke(capsys, "strata", path, *box)
+        assert code == 0
+        counts.append(len(calls))
+    assert counts[1] - counts[0] == 8
 
 
 def test_reports_are_deterministic(tmp_path, capsys):

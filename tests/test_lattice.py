@@ -101,8 +101,7 @@ def test_kernel_randomized_complete_and_exact():
             assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in A)
         # brute-force agreement within a small box
         box = oracles.kernel_vectors_in_box(A, 2)
-        spanned = [v for v in box if in_row_span(basis, v)]
-        assert spanned == box
+        assert in_row_span(basis, box) == box
 
 
 def test_antisymmetric_integer_matrices_have_even_rank():
@@ -118,13 +117,16 @@ def test_antisymmetric_integer_matrices_have_even_rank():
 
 
 def test_in_row_span():
-    assert in_row_span([(1, -1, 1)], (2, -2, 2))
-    assert not in_row_span([(1, -1, 1)], (1, 1, 1))
-    assert in_row_span([], (0, 0))
-    assert not in_row_span([], (1, 0))
+    # the spanned vectors come back in input order, from any iterable
+    assert in_row_span([(1, -1, 1)], iter([(2, -2, 2), (1, 1, 1), (0, 0, 0), (-1, 1, -1)])) == \
+        [(2, -2, 2), (0, 0, 0), (-1, 1, -1)]
+    # an empty basis spans only zero vectors
+    assert in_row_span([], [(1, 0), (0, 0), (0, -1)]) == [(0, 0)]
     # dependent rows leave a zero row in the Hermite form; 1 is not a multiple of 2
-    assert in_row_span([(1, 2), (2, 4)], (3, 6))
-    assert not in_row_span([(2, 0)], (1, 0))
+    assert in_row_span([(1, 2), (2, 4)], [(3, 6)]) == [(3, 6)]
+    assert in_row_span([(2, 0)], [(1, 0)]) == []
+    # a vector that divides at every pivot can still leave a nonzero remainder
+    assert in_row_span([(1, 0, 0)], [(1, 0, 1)]) == []
 
 
 def test_det_examples():

@@ -114,6 +114,9 @@ CASES = [
     (lambda: Presentation(NONE, ["x", "y"], {(1, 0): Rule(UnitMonomial(1, ())),
                                              (0, 1): Rule(UnitMonomial(1, ()))}),
      PresentationError, "rule pairs [(0, 1)] are not descending generator pairs"),
+    # strat: rank n, but weights other than the identity rows
+    (lambda: strat.hspec_quantum_affine(zoo.quantum_matrices_generic(2, 2)), strat.StratError,
+     "expected the rank-n grading of a quantum affine space"),
 ]
 
 # The rule pair each refusal names, for those that name one.

@@ -118,6 +118,8 @@ def test_quotient_presentation(qa2):
     assert not q.invertible[0]
     t = stratum_torus(qa2, HPrime((1,)))
     assert t.invertible[0]
+    # both carry their parent's name
+    assert q.name == t.name == qa2.name
     # a quotient and a stratum torus keep their parent's budget
     budgeted = qa2.with_fuel(7)
     assert stratum_torus(budgeted, HPrime((1,))).fuel == 7
@@ -208,8 +210,8 @@ def test_center_basis_matches_brute_force_small():
         for w in hspec_quantum_affine(p):
             rep = stratum_report(p, w)
             brute = brute_force_central_monomials(stratum_torus(p, w), 2)
-            boxed = [v for v in itertools.product(range(-2, 3), repeat=rep.torus_size)
-                     if lattice.in_row_span(rep.center_basis, v)]
+            boxed = lattice.in_row_span(
+                rep.center_basis, itertools.product(range(-2, 3), repeat=rep.torus_size))
             assert sorted(boxed) == brute
 
 
@@ -260,7 +262,7 @@ def test_all_witnesses_reverify_n4():
     primes = hspec_quantum_affine(p)
     for a in primes:
         for b in primes:
-            if a.issubset(b) and a != b:
+            if set(a.members) < set(b.members):
                 witness = normal_separation_witness(p, a, b)
                 assert witness.certificate.verify(witness.quotient)
 
