@@ -228,11 +228,11 @@ def _cmd_strata(args, p):
                            f"(2*{args.box}+2)^{p.ngens} points, above the limit {MAX_BOX_POINTS}")
     records = []
     ok = True
-    for w in primes:
-        report = strat.stratum_report(p, w)
+    for report in strat.stratum_reports(p, primes):
         record = _stratum_record(report)
         if args.box:
-            brute = strat.brute_force_central_monomials(strat.stratum_torus(p, w), args.box)
+            brute = strat.brute_force_central_monomials(strat.stratum_torus(p, report.hprime),
+                                                        args.box)
             span = in_row_span(report.center_basis, product(range(-args.box, args.box + 1),
                                                             repeat=report.torus_size))
             record["box_check"] = span == brute
@@ -262,7 +262,7 @@ def _cmd_witness(args, p):
 
 def _cmd_poset(args, p):
     primes = strat.hspec_quantum_affine(p)
-    ranks = {w: strat.stratum_report(p, w).center_rank for w in primes}
+    ranks = {r.hprime: r.center_rank for r in strat.stratum_reports(p, primes)}
     if args.dot:
         return emit_dot(primes, ranks, name=p.name)
     covers = strat.poset_covers(primes)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import index
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import lattice
 from .grading import NormalityCertificate, commutation_products, scalar_normality_check
@@ -23,7 +23,7 @@ from .pbw import Element, Presentation, Rule, gen, monomial
 
 # Most stable primes hspec_quantum_affine lists: 2^n for n generators, so
 # n <= 12.  At n = 12 the single-parameter `poset`, the slowest command over
-# every prime, takes about 4 s.
+# every prime, takes about 1.1 s.
 MAX_STABLE_PRIMES = 4096
 
 
@@ -149,35 +149,45 @@ class StratumReport:
     center_basis: list[tuple[int, ...]]
 
 
-def stratum_report(p: Presentation, w: HPrime) -> StratumReport:
-    """The stratum center as the lattice kernel of the commutation exponent
-    matrix of the survivors, each kernel monomial checked central in the
-    stratum torus by the engine.
+def stratum_reports(p: Presentation, primes: Iterable[HPrime]) -> Iterator[StratumReport]:
+    """Each prime's stratum report, in order, from one check of the parent.
 
-    The matrix has rows indexed by (survivor i, symbol t) and columns by the
-    survivors; its entry at column j is the exponent of t in the scalar q_ij
-    with x_i x_j = q_ij x_j x_i, read off the parent's swap.  A zero or
-    repeated row does not change the kernel, so only the distinct nonzero
-    rows, in first-seen order, are kept.
+    A stratum center is the lattice kernel of the commutation exponent matrix
+    of the survivors, each kernel monomial checked central in the stratum
+    torus by the engine.  The matrix has rows indexed by (survivor i, symbol
+    t) and columns by the survivors; its entry at column j is the exponent of
+    t in the scalar q_ij with x_i x_j = q_ij x_j x_i, read off the parent's
+    swap.  Only its distinct nonzero rows, in first-seen order, are kept, as no
+    other row changes the kernel; one call solves each (width, rows) once.
     """
     check_quantum_affine(p)
     check_genericity(p)
-    survivors = _survivors(p, w)
     zero = (0,) * len(p.context)
-    rows = {}
-    for i in survivors:
-        q = [p.rules[(i, j)].swap.exponents if i > j else zero if i == j
-             else [-e for e in p.rules[(j, i)].swap.exponents] for j in survivors]
-        rows.update(dict.fromkeys(filter(any, zip(*q))))
-    size = len(survivors)
-    basis = lattice.kernel_basis([list(row) for row in rows]) if rows else \
-        [tuple(1 if j == i else 0 for j in range(size)) for i in range(size)]
-    if basis:
-        torus = _quotient(p, survivors, True)
-        for v in basis:
-            if not is_central(torus, monomial(torus, v)):
-                raise AssertionError("kernel vector is not central in the torus")
-    return StratumReport(w, size, len(basis), basis)
+    kernels = {}
+    for w in primes:
+        survivors = _survivors(p, w)
+        rows = {}
+        for i in survivors:
+            q = [p.rules[(i, j)].swap.exponents if i > j else zero if i == j
+                 else [-e for e in p.rules[(j, i)].swap.exponents] for j in survivors]
+            rows.update(dict.fromkeys(filter(any, zip(*q))))
+        size = len(survivors)
+        key = (size, tuple(rows))
+        if key not in kernels:
+            kernels[key] = lattice.kernel_basis([list(row) for row in rows]) if rows else \
+                [tuple(1 if j == i else 0 for j in range(size)) for i in range(size)]
+        basis = kernels[key]
+        if basis:
+            torus = _quotient(p, survivors, True)
+            for v in basis:
+                if not is_central(torus, monomial(torus, v)):
+                    raise AssertionError("kernel vector is not central in the torus")
+        yield StratumReport(w, size, len(basis), list(basis))
+
+
+def stratum_report(p: Presentation, w: HPrime) -> StratumReport:
+    """The stratum report of one prime; see stratum_reports."""
+    return next(stratum_reports(p, [w]))
 
 
 def brute_force_central_monomials(torus: Presentation, box: int) -> list[tuple[int, ...]]:

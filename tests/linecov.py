@@ -70,7 +70,7 @@ ALLOWED = {
     ("lattice.py", 'raise AssertionError("kernel verification failed: wrong rank")'):
         SELF_CHECK + "kernel_basis reading only the first cols - 1 rows of U",
     ("strat.py", 'raise AssertionError("kernel vector is not central in the torus")'):
-        SELF_CHECK + "stratum_report dropping its last nonzero exponent row",
+        SELF_CHECK + "stratum_reports dropping its last nonzero exponent row",
     ("strat.py", 'raise AssertionError("separating generator failed its normality certificate")'):
         SELF_CHECK + "scalar_normality_check testing right == left.scale(mu)",
     ("strat.py", "open_ok = False"):

@@ -707,9 +707,9 @@ def test_a_bad_specialize_value_is_refused_before_the_engine_runs(tmp_path, caps
 
 @pytest.mark.parametrize("single", [False, True], ids=["generic", "single"])
 @pytest.mark.parametrize("argv,checks", [
-    (["strata"], 17),             # hspec, then one stratum report per prime
-    (["poset"], 17),
-    (["strata", "--box", "1"], 33),  # and one stratum torus per prime for the box
+    (["strata"], 2),              # hspec, then one pass over every prime
+    (["poset"], 2),
+    (["strata", "--box", "1"], 18),  # and one stratum torus per prime for the box
     (["center", "--hprime", "1,2,3"], 1),
     (["witness", "--from", "1", "--to", "1,2"], 1),
 ], ids=["strata", "poset", "strata --box", "center", "witness"])
@@ -724,6 +724,22 @@ def test_each_entry_point_checks_the_parent_once(tmp_path, capsys, monkeypatch,
     assert len(calls) == checks
     if argv[0] == "center":  # the prime's one survivor gives a nonempty center
         assert report_of(out)["results"]["center_rank"] == 1
+
+
+def test_one_pass_solves_each_distinct_exponent_matrix_once(tmp_path, capsys):
+    # single-parameter n = 6: a stratum's matrix depends only on its size, and
+    # strata of 0 or 1 survivors have no row, so 5 kernels, where one call of
+    # stratum_report per prime solves 57
+    p = zoo.quantum_affine_single(6)
+    path = write(tmp_path, "use quantum_affine(n=6, single_param=true)\n")
+    with oracles.kernel_calls() as seen:
+        code, _ = invoke(capsys, "strata", path)
+    assert code == 0
+    assert len(seen) == 5
+    with oracles.kernel_calls() as seen:
+        for w in strat.hspec_quantum_affine(p):
+            strat.stratum_report(p, w)
+    assert len(seen) == 57
 
 
 def test_box_check_takes_one_hermite_form_per_stratum(tmp_path, capsys, monkeypatch):
@@ -1063,6 +1079,9 @@ def test_degree_above_the_limit_is_a_usage_error(tmp_path, capsys, degree):
      "--box 1 on 7 generators searches (2*1+2)^7 points, above the limit 5000"),
     (3, ["strata", "--box", "100000"],
      "--box 100000 on 3 generators searches (2*100000+2)^3 points, above the limit 5000"),
+    # both limits broken: the prime count is refused first
+    (13, ["strata", "--box", "1"],
+     "13 generators give 2^13 = 8192 stable primes, above the limit 4096"),
 ])
 def test_enumerations_above_their_limits_are_refused(tmp_path, capsys, n, argv, message):
     path = write(tmp_path, f"use quantum_affine(n={n})\n")
@@ -1071,6 +1090,15 @@ def test_enumerations_above_their_limits_are_refused(tmp_path, capsys, n, argv, 
     rep = report_of(out)
     assert rep["status"] == "error"
     assert rep["results"]["message"] == message
+
+
+def test_strata_checks_the_grading_before_the_box(tmp_path, capsys):
+    # the box limit is broken too; the parent's refusal comes first
+    path = write(tmp_path, "use quantized_weyl(n=1)\n")
+    code, out = invoke(capsys, "strata", path, "--box", "100000")
+    assert code == 2
+    assert report_of(out)["results"]["message"] == \
+        "expected the rank-n grading of a quantum affine space"
 
 
 def test_twelve_generators_have_the_most_stable_primes(tmp_path, capsys):

@@ -11,7 +11,7 @@ from strata_lab.strat import (GenericityUnverified, HPrime, StratError,
                               brute_force_central_monomials, hspec_quantum_affine,
                               normal_separation_witness, poset_covers,
                               stratification_axioms_check, stratum_report,
-                              stratum_torus)
+                              stratum_reports, stratum_torus)
 
 import oracles
 
@@ -33,6 +33,17 @@ def qa2():
 @pytest.fixture(scope="module")
 def qa3s():
     return zoo.quantum_affine_single(3)
+
+
+@pytest.fixture(scope="module")
+def mixed4():
+    """x_j x_i = q^e x_i x_j, e = 1..6: its four tori on three survivors have
+    four different centers, spanned by (6,-5,4), (6,-3,2), (5,-3,1), (4,-2,1)."""
+    ctx = ParamContext(["q"])
+    q = Coefficient.symbol(ctx, "q")
+    pairs = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+    return zoo.quantum_affine(zoo.AntisymmetricMatrixSpec(
+        ctx, 4, {pair: q ** e for e, pair in enumerate(pairs, 1)}))
 
 
 def test_hspec_sizes(qa2):
@@ -126,16 +137,9 @@ def test_quotient_presentation(qa2):
     assert normal_separation_witness(budgeted, HPrime((1,)), HPrime((1, 2))).quotient.fuel == 7
 
 
-def test_generators_are_built_once_per_torus(monkeypatch):
+def test_generators_are_built_once_per_torus(monkeypatch, mixed4):
     # the first commutation check of a torus builds its generators and keeps
-    # them; every answer is the one the generators built afresh give.  In this
-    # space x_j x_i = q^e x_i x_j, e = 1..6, the four tori on three survivors
-    # have four different centers, spanned by these vectors
-    ctx = ParamContext(["q"])
-    q = Coefficient.symbol(ctx, "q")
-    pairs = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
-    parent = zoo.quantum_affine(zoo.AntisymmetricMatrixSpec(
-        ctx, 4, {pair: q ** e for e, pair in enumerate(pairs, 1)}))
+    # them; every answer is the one the generators built afresh give
     vectors = [(6, -5, 4), (6, -3, 2), (5, -3, 1), (4, -2, 1), (0, 0, 0), (1, 0, 0)]
     built = []
     real = pbw.gen
@@ -150,7 +154,7 @@ def test_generators_are_built_once_per_torus(monkeypatch):
         assert [strat.is_central(t, monomial(t, v)) for v in vectors] == want
         return len(built)
 
-    tori = [stratum_torus(parent, HPrime((i,))) for i in range(1, 5)]
+    tori = [stratum_torus(mixed4, HPrime((i,))) for i in range(1, 5)]
     answers = [central(t) for t in tori]
     assert len({tuple(a) for a in answers}) == 4
     torus, want = tori[0], answers[0]
@@ -159,10 +163,25 @@ def test_generators_are_built_once_per_torus(monkeypatch):
     assert (builds(torus.with_fuel(50), want), builds(early, want)) == (0, 3)
     # the cache is no part of equality: an equal torus built afresh, and the
     # tori of the other primes of the same size, answer for their own generators
-    again = stratum_torus(parent, HPrime((1,)))
+    again = stratum_torus(mixed4, HPrime((1,)))
     assert again == torus and builds(again, want) == 3
     for t, want in zip(tori[1:], answers[1:]):
         assert t != torus and builds(t, want) == 3
+
+
+def test_one_pass_tells_apart_strata_of_equal_size(mixed4):
+    # strata of equal size with different kernels: the one pass keys each
+    # kernel by its rows, not by the stratum's size
+    primes = hspec_quantum_affine(mixed4)
+    reports = list(stratum_reports(mixed4, primes))
+    assert reports == [stratum_report(mixed4, w) for w in primes]
+    assert [r.center_basis for r in reports if r.torus_size == 3] == \
+        [[(6, -5, 4)], [(6, -3, 2)], [(5, -3, 1)], [(4, -2, 1)]]
+    for r in reports:
+        box = list(itertools.product(range(-6, 7), repeat=r.torus_size))
+        A = exponent_matrix(mixed4, r.hprime)
+        assert sorted(lattice.in_row_span(r.center_basis, box)) == \
+            (oracles.kernel_vectors_in_box(A, 6) if A else box)
 
 
 def test_stratum_ranks_n2_generic(qa2):
