@@ -9,14 +9,6 @@ that returns a form or a basis re-verifies its defining identities first.
 from __future__ import annotations
 
 
-def _copy(A):
-    return [list(row) for row in A]
-
-
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def _shape(A):
     rows = len(A)
     cols = len(A[0]) if rows else 0
@@ -48,7 +40,7 @@ def _eliminate(A):
     A: (rank, sign of the row swaps, last pivot).  A column with no pivot is
     skipped, which keeps every division exact."""
     rows, cols = _shape(A)
-    M = _copy(A)
+    M = [list(row) for row in A]
     r, sign, prev = 0, 1, 1
     for c in range(cols):
         p = next((i for i in range(r, rows) if M[i][c]), None)
@@ -81,48 +73,48 @@ def hnf(A):
     """Row Hermite normal form: (H, U) with U unimodular and U*A = H.
 
     Pivots are positive, entries above each pivot reduced into [0, pivot).
+    Each row operation acts once on M = [A | I], pivoting over all its
+    columns, so the rows of U beside the zero rows of H are in Hermite form
+    too (Cohen, A Course in Computational Algebraic Number Theory, 1993, 2.4).
     """
     rows, cols = _shape(A)
-    H = _copy(A)
-    U = _identity(rows)
+    M = [list(a) + [int(i == j) for j in range(rows)] for i, a in enumerate(A)]
     r = 0
-    for c in range(cols):
+    for c in range(cols + rows):
         if r == rows:
             break
         # chase the column to a single nonzero entry at row r
         while True:
-            nz = [i for i in range(r, rows) if H[i][c]]
+            nz = [i for i in range(r, rows) if M[i][c]]
             if not nz:
                 break
-            i0 = min(nz, key=lambda i: abs(H[i][c]))
+            i0 = min(nz, key=lambda i: abs(M[i][c]))
             if i0 != r:
-                H[r], H[i0] = H[i0], H[r]
-                U[r], U[i0] = U[i0], U[r]
-            if H[r][c] < 0:
-                H[r] = [-x for x in H[r]]
-                U[r] = [-x for x in U[r]]
+                M[r], M[i0] = M[i0], M[r]
+            if M[r][c] < 0:
+                M[r] = [-x for x in M[r]]
             done = True
             for i in range(r + 1, rows):
-                if H[i][c]:
-                    q = H[i][c] // H[r][c]
-                    H[i] = [a - q * b for a, b in zip(H[i], H[r])]
-                    U[i] = [a - q * b for a, b in zip(U[i], U[r])]
-                    if H[i][c]:
+                if M[i][c]:
+                    q = M[i][c] // M[r][c]
+                    M[i] = [a - q * b for a, b in zip(M[i], M[r])]
+                    if M[i][c]:
                         done = False
             if done:
                 break
-        if H[r][c]:
+        if M[r][c]:
             for i in range(r):
-                q = H[i][c] // H[r][c]
+                q = M[i][c] // M[r][c]
                 if q:
-                    H[i] = [a - q * b for a, b in zip(H[i], H[r])]
-                    U[i] = [a - q * b for a, b in zip(U[i], U[r])]
+                    M[i] = [a - q * b for a, b in zip(M[i], M[r])]
             r += 1
+    H = [row[:cols] for row in M]
+    U = [row[cols:] for row in M]
     if matmul(U, A) != H:
         raise AssertionError("HNF verification failed: U*A != H")
     if det(U) not in (1, -1):
         raise AssertionError("HNF verification failed: U not unimodular")
-    _check_hermite(H, cols)
+    _check_hermite(M, cols + rows)
     return H, U
 
 
@@ -140,17 +132,16 @@ def rank(A):
 
 
 def kernel_basis(A):
-    """Z-basis of the right kernel {v : A*v = 0}, canonicalized by HNF rows."""
+    """Z-basis of the right kernel {v : A*v = 0} in Hermite form: the rows of
+    U beside the zero rows of H, for (H, U) = hnf(A^T)."""
     rows, cols = _shape(A)
     H, U = hnf([list(c) for c in zip(*A)])
-    vecs = [U[i] for i in range(cols) if not any(H[i])]
-    if not vecs:
-        # hnf certified U unimodular and H in Hermite form, so no zero row
+    basis = [tuple(u) for h, u in zip(H, U) if not any(h)]
+    if not basis:
+        # hnf certified U unimodular and [H | U] in Hermite form, so no zero row
         # certifies a trivial kernel; a rank check here put `strata` job_p50_ms
         # at 0.264 ms against 0.195 ms (perfbench seed 91, 2 cores, Python 3.11)
         return []
-    K, _ = hnf(vecs)
-    basis = [tuple(row) for row in K if any(row)]
     for v in basis:
         if any(sum(A[i][j] * v[j] for j in range(cols)) for i in range(rows)):
             raise AssertionError("kernel verification failed: A*v != 0")
@@ -161,12 +152,15 @@ def kernel_basis(A):
 
 def in_row_span(basis, vectors):
     """The vectors, in order, that lie in the integer row span of basis, each
-    reduced against one Hermite form of basis."""
-    rows = [(next(j for j, x in enumerate(row) if x), row)
-            for row in hnf([list(b) for b in basis])[0] if any(row)]
+    reduced against one Hermite form of basis.  A nonempty basis refuses a
+    vector of any other width."""
+    H, _ = hnf([list(b) for b in basis])
+    rows = [(next(j for j, x in enumerate(row) if x), row) for row in H if any(row)]
     spanned = []
     for v in vectors:
         vec = list(v)
+        if H and len(vec) != len(H[0]):
+            raise ValueError("vector width differs from the basis")
         for piv, row in rows:
             q, r = divmod(vec[piv], row[piv])
             if r:

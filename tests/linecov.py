@@ -62,7 +62,7 @@ ALLOWED = {
         "them, nor had 209,497 random small elements on 10,520 random 2-3-generator "
         "presentations with degree-2 tails; without the guard max() of no terms raises",
     ("lattice.py", 'raise AssertionError("HNF verification failed: U*A != H")'):
-        SELF_CHECK + "hnf's back-substitution not updating U",
+        SELF_CHECK + "hnf appending the identity block in reverse row order",
     ("lattice.py", 'raise AssertionError("HNF verification failed: U not unimodular")'):
         SELF_CHECK + "_eliminate not dividing by the previous pivot",
     ("lattice.py", 'raise AssertionError("kernel verification failed: A*v != 0")'):

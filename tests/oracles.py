@@ -79,6 +79,25 @@ def kernel_vectors_in_box(A, box: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
+def is_hermite(H) -> bool:
+    """Assert that the nonzero rows of H are echelon with positive pivots and
+    every entry above a pivot in [0, pivot); zero rows may stand anywhere."""
+    pivots = []
+    for row in H:
+        nz = [j for j, x in enumerate(row) if x]
+        if not nz:
+            continue
+        j = nz[0]
+        assert row[j] > 0
+        if pivots:
+            assert j > pivots[-1][1]
+        pivots.append((row, j))
+    for k, (prow, j) in enumerate(pivots):
+        for above, _ in pivots[:k]:
+            assert 0 <= above[j] < prow[j]
+    return True
+
+
 @contextlib.contextmanager
 def kernel_calls():
     """The list of matrices handed to lattice.kernel_basis inside the block;

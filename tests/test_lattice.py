@@ -2,33 +2,16 @@ import random
 
 import pytest
 
+from strata_lab import lattice
 from strata_lab.lattice import (_check_hermite, det, hnf, in_row_span, kernel_basis,
                                 matmul, rank)
 
 import oracles
+from oracles import is_hermite
 
 
 def random_matrix(rng, rows, cols, lo=-6, hi=6):
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
-
-
-def is_hermite(H):
-    pivots = []
-    for row in H:
-        nz = [j for j, x in enumerate(row) if x]
-        if not nz:
-            continue
-        j = nz[0]
-        assert row[j] > 0
-        if pivots:
-            assert j > pivots[-1][1]
-        pivots.append((row, j))
-    # entries above each pivot reduced into [0, pivot)
-    rows = [r for r, _ in pivots]
-    for k, (prow, j) in enumerate(pivots):
-        for above, _ in pivots[:k]:
-            assert 0 <= above[j] < prow[j]
-    return True
 
 
 def test_hnf_identity():
@@ -57,6 +40,19 @@ def test_hnf_randomized():
         assert matmul(U, A) == H
         assert det(U) in (1, -1)
         assert is_hermite(H)
+
+
+def test_transform_rows_beside_zero_rows_are_in_hermite_form():
+    # hnf pivots over the columns of U too, so the rows of U that H sends to
+    # zero, a basis of the left kernel, come out in Hermite form
+    rng = random.Random(61)
+    for _ in range(120):
+        rows = rng.randint(1, 6)
+        A = random_matrix(rng, rows, rng.randint(1, 4), -3, 3)
+        H, U = hnf(A)
+        kernel = [u for h, u in zip(H, U) if not any(h)]
+        assert len(kernel) == rows - rank(A)
+        assert is_hermite(kernel), A
 
 
 def test_hermite_check_rejects_every_broken_condition():
@@ -97,11 +93,32 @@ def test_kernel_randomized_complete_and_exact():
         A = random_matrix(rng, rows, cols, -3, 3)
         basis = kernel_basis(A)
         assert len(basis) == cols - rank(A)
+        assert is_hermite(basis), A
         for v in basis:
             assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in A)
         # brute-force agreement within a small box
         box = oracles.kernel_vectors_in_box(A, 2)
         assert in_row_span(basis, box) == box
+
+
+def test_kernel_basis_takes_one_hermite_form(monkeypatch):
+    # the rows of U beside the zero rows of H are already the kernel's
+    # Hermite form, so an empty and a nonempty kernel each take one hnf call
+    calls = []
+
+    def counted(A):
+        calls.append(A)
+        return hnf(A)
+
+    monkeypatch.setattr(lattice, "hnf", counted)
+    rng = random.Random(59)
+    dims = set()
+    for _ in range(60):
+        A = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), -2, 2)
+        calls.clear()
+        dims.add(len(kernel_basis(A)))
+        assert len(calls) == 1, A
+    assert {0, 1, 2} <= dims
 
 
 def test_antisymmetric_integer_matrices_have_even_rank():
@@ -127,6 +144,11 @@ def test_in_row_span():
     assert in_row_span([(2, 0)], [(1, 0)]) == []
     # a vector that divides at every pivot can still leave a nonzero remainder
     assert in_row_span([(1, 0, 0)], [(1, 0, 1)]) == []
+    # a nonempty basis refuses a vector of another width, longer or shorter
+    with pytest.raises(ValueError, match="width"):
+        in_row_span([(1, 0)], [(1, 0, 5)])
+    with pytest.raises(ValueError, match="width"):
+        in_row_span([(1, 0, 0)], [(1, 0)])
 
 
 def test_det_examples():

@@ -138,6 +138,13 @@ def test_kernel_basis_matches_sympy_nullspace(matrices):
         assert all(in_lattice(basis, primitive(list(v))) for v in null), A
 
 
+def test_kernel_basis_is_in_hermite_form(matrices):
+    # the Hermite form of a lattice is unique, so this pins the one basis the
+    # reports print, whichever elimination found it
+    for A in matrices:
+        assert oracles.is_hermite(kernel_basis(A)), A
+
+
 def test_det_matches_sympy(matrices):
     square = [A for A in matrices if len(A) == (len(A[0]) if A else 0)]
     assert len(square) > 16
