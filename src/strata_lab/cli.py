@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 from . import __version__, dsl, qdet, strat, zoo
 from .coeff import CoeffError, SpecializationError, TooManyDigits, max_digits, number_text
-from .grading import is_homogeneous, scalar_normality_check, weight_of
+from .grading import check_homogeneous_rules, is_homogeneous, scalar_normality_check, weight_of
 from .lattice import in_row_span
 from .pbw import (DEFAULT_FUEL, EngineError, NegativeExponent, PresentationError,
                   diamond_check, hilbert_count, order_key)
@@ -189,6 +189,7 @@ def _cmd_sl_check(args, matrix):
 
 
 def _cmd_weights(args, p):
+    check_homogeneous_rules(p)
     element = dsl.evaluate_expression(p, args.expr)
     w = is_homogeneous(p, element)
     terms = [{"monomial": list(exp), "weight": list(weight_of(p, exp))}

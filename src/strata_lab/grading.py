@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from operator import index
+from operator import add, index
 from typing import Iterator, Sequence
 
 from .coeff import Coefficient
-from .pbw import Element, Presentation, multiply, order_key
+from .pbw import Element, Presentation, PresentationError, multiply, order_key
 
 
 def weight_of(p: Presentation, exponents: Sequence[int]) -> tuple[int, ...]:
@@ -37,6 +37,16 @@ def is_homogeneous(p: Presentation, a: Element) -> tuple[int, ...] | None:
     if len(weights) == 1:
         return next(iter(weights))
     return None
+
+
+def check_homogeneous_rules(p: Presentation) -> None:
+    """Refuse weights the rules do not respect: each tail term of rule (j, i) weighs as x_i*x_j."""
+    for (j, i), r in p.rules.items():
+        if r.tail and is_homogeneous(p, r.tail) != tuple(map(add, p.weights[i], p.weights[j])):
+            exc = PresentationError(f"the rule for ({p.generators[j]}, {p.generators[i]}) "
+                                    "is not homogeneous under the weights")
+            exc.pair = (j, i)
+            raise exc
 
 
 def commutation_products(p: Presentation, c: Element) -> Iterator[tuple[Element, Element]]:

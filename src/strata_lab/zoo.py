@@ -8,8 +8,6 @@ Musson relation sets, whose coefficients stay inside the Laurent subring.
 
 from __future__ import annotations
 
-import warnings
-
 from .coeff import Coefficient, ParamContext
 from .pbw import Element, Presentation, Rule
 
@@ -19,10 +17,6 @@ class ZooError(Exception):
 
 
 class BadMatrix(ZooError):
-    pass
-
-
-class DegenerateLambda(ZooError):
     pass
 
 
@@ -145,14 +139,8 @@ def quantum_matrices(m: int, n: int, lam: Coefficient,
     if p.n != max(m, n):
         raise BadMatrix(f"parameter matrix must have size max(m, n) = {max(m, n)}")
     ctx = p.context
-    if not isinstance(lam, Coefficient) or lam.context != ctx:
-        raise BadMatrix("lambda must be a coefficient over the parameter context")
-    if not lam:
-        raise DegenerateLambda("lambda must be nonzero")
-    if not lam.is_unit():
-        raise BadMatrix("lambda must be a unit monomial")
-    if lam == Coefficient.integer(ctx, -1):
-        warnings.warn("lambda = -1 degenerates the graded dimension", RuntimeWarning)
+    if not (isinstance(lam, Coefficient) and lam.context == ctx and lam.is_unit()):
+        raise BadMatrix("lambda must be a unit coefficient over the parameter context")
 
     ngens = m * n
     gens = [f"X{i + 1}{j + 1}" for i in range(m) for j in range(n)]
@@ -302,14 +290,9 @@ def quantum_euclidean(n: int) -> Presentation:
     if n < 0:
         raise ZooError("need n >= 0")
     m = n // 2
-    odd = n % 2 == 1
-    if odd:
-        ctx = ParamContext(["v"])
-        qpow = lambda k: Coefficient.symbol(ctx, "v", 2 * k)
-        half = lambda k2: Coefficient.symbol(ctx, "v", k2)  # v^{k2} = q^{k2/2}
-    else:
-        ctx = ParamContext(["q"])
-        qpow = lambda k: Coefficient.symbol(ctx, "q", k)
+    symbol, step = ("v", 2) if n % 2 else ("q", 1)  # q^k is symbol^(step*k)
+    ctx = ParamContext([symbol])
+    qpow = lambda k: Coefficient.symbol(ctx, symbol, step * k)
 
     def prime(a):
         return n + 1 - a
@@ -324,8 +307,9 @@ def quantum_euclidean(n: int) -> Presentation:
                 for l in range(a + 1, m + 1):
                     tail_terms[_vector(n, (l - 1, 1), (prime(l) - 1, 1))] = \
                         -(1 - qpow(2)) * qpow(l - a - 2)
-                if odd:
-                    tail_terms[_vector(n, (m, 2))] = -(1 - qpow(1)) * half(2 * (m - a) - 1)
+                if n % 2:
+                    tail_terms[_vector(n, (m, 2))] = -(1 - qpow(1)) * Coefficient.symbol(
+                        ctx, "v", 2 * (m - a) - 1)  # q^(m-a-1/2)
                 rules[(b - 1, a - 1)] = Rule(qpow(0).as_unit(), Element(tail_terms))
             else:
                 rules[(b - 1, a - 1)] = Rule(qpow(-1).as_unit())

@@ -10,7 +10,7 @@ import pytest
 from strata_lab import cli, lattice, pbw, qdet, strat, zoo
 from strata_lab.coeff import Coefficient, ContextMismatch, ParamContext, UnitMonomial
 from strata_lab.dsl import DslError, print_presentation
-from strata_lab.grading import weight_of
+from strata_lab.grading import check_homogeneous_rules, weight_of
 from strata_lab.pbw import Element, Presentation, PresentationError, Rule
 
 NONE = ParamContext([])
@@ -34,6 +34,9 @@ def weyl_gamma():
 
 
 LAM, SPEC = zoo.generic_matrix_data(2)
+LAMBDA = "lambda must be a unit coefficient over the parameter context"
+UNGRADED = "algebra g\ngenerators x y\nrules\ny * x = x*y + x^2\n"  # x^2 weighs (2, 0)
+NOT_GRADED = "the rule for (y, x) is not homogeneous under the weights"
 
 
 CASES = [
@@ -68,10 +71,8 @@ CASES = [
      "box must be nonnegative"),
     (lambda: qdet.det_commutation_scalar(2, LAM, SPEC, 0, 1), ValueError,
      "indices out of range"),
-    (lambda: zoo.quantum_matrices(2, 2, Coefficient.one(Q), SPEC), zoo.BadMatrix,
-     "lambda must be a coefficient over the parameter context"),
-    (lambda: zoo.quantum_matrices(2, 2, 2 * LAM, SPEC), zoo.BadMatrix,
-     "lambda must be a unit monomial"),
+    (lambda: zoo.quantum_matrices(2, 2, Coefficient.one(Q), SPEC), zoo.BadMatrix, LAMBDA),
+    (lambda: zoo.quantum_matrices(2, 2, 2 * LAM, SPEC), zoo.BadMatrix, LAMBDA),
     (lambda: zoo.quantized_weyl([], weyl_gamma()), zoo.BadMatrix,
      "need one q parameter per degree"),
     (lambda: zoo.quantized_weyl([Coefficient.one(Q)], weyl_gamma()), zoo.BadMatrix,
@@ -117,19 +118,26 @@ CASES = [
     # strat: rank n, but weights other than the identity rows
     (lambda: strat.hspec_quantum_affine(zoo.quantum_matrices_generic(2, 2)), strat.StratError,
      "expected the rank-n grading of a quantum affine space"),
+    # grading: the weights commands answer only for weights the rules respect
+    (lambda: check_homogeneous_rules(plane(tail=Element({(2, 0): Coefficient.one(NONE)}))),
+     PresentationError, NOT_GRADED),
+    ([UNGRADED, "weights", "y*x"], ("error", 2), NOT_GRADED),
+    ([UNGRADED, "eigencheck", "y*x"], ("error", 2), NOT_GRADED),
 ]
 
 # The rule pair each refusal names, for those that name one.
 PAIRS = {"missing rule pair (y, x)": (1, 0),
-         "rule for (y, x) has a tail, but the generators are invertible": (1, 0)}
+         "rule for (y, x) has a tail, but the generators are invertible": (1, 0),
+         NOT_GRADED: (1, 0)}
 
 
 @pytest.mark.parametrize("call,error,message", CASES)
 def test_refusal_type_and_message(tmp_path, capsys, call, error, message):
-    if isinstance(call, list):  # a command line over quantum_affine(n=2)
-        path = tmp_path / "qa2.txt"
-        path.write_text("use quantum_affine(n=2)\n", encoding="utf-8")
-        code = cli.run([call[0], str(path), *call[1:]])
+    if isinstance(call, list):  # a command line, over quantum_affine(n=2) or a given source
+        source, command, *rest = call if "\n" in call[0] else ["use quantum_affine(n=2)\n", *call]
+        path = tmp_path / "source.txt"
+        path.write_text(source, encoding="utf-8")
+        code = cli.run([command, str(path), *rest])
         report = json.loads(capsys.readouterr().out)
         assert (report["status"], code, report["results"]["message"]) == (*error, message)
         return

@@ -1,29 +1,15 @@
+import itertools
 import random
+import warnings
 
 import pytest
 
 from strata_lab import zoo
 from strata_lab.coeff import Coefficient, ParamContext
-from strata_lab.grading import weight_of
+from strata_lab.grading import check_homogeneous_rules, weight_of
 from strata_lab.pbw import (Element, diamond_check, gen, monomial, multiply,
                             normal_form)
-from strata_lab.zoo import AntisymmetricMatrixSpec, BadMatrix, DegenerateLambda
-
-
-def all_suite_presentations():
-    return [
-        zoo.quantum_affine_generic(1),
-        zoo.quantum_affine_generic(3),
-        zoo.quantum_affine_single(4),
-        zoo.quantum_torus_generic(2),
-        zoo.quantum_matrices_generic(2, 2),
-        zoo.quantum_matrices_single(2, 2),
-        zoo.quantized_weyl_generic(2),
-        zoo.quantum_symplectic(2),
-        zoo.quantum_euclidean(2),
-        zoo.quantum_euclidean(3),
-        zoo.quantum_euclidean(4),
-    ]
+from strata_lab.zoo import AntisymmetricMatrixSpec, BadMatrix
 
 
 def test_affine_n1_is_commutative_polynomial_ring():
@@ -99,14 +85,20 @@ def test_rectangular_embeds_in_square():
 
 def test_degenerate_lambda_rejected():
     _, p = zoo.generic_matrix_data(2)
-    with pytest.raises(DegenerateLambda):
+    with pytest.raises(BadMatrix, match="lambda must be a unit coefficient"):
         zoo.quantum_matrices(2, 2, Coefficient.zero(p.context), p)
 
 
-def test_lambda_minus_one_warns():
-    _, p = zoo.generic_matrix_data(2)
-    with pytest.warns(RuntimeWarning):
-        zoo.quantum_matrices(2, 2, Coefficient.integer(p.context, -1), p)
+@pytest.mark.parametrize("data", [zoo.generic_matrix_data, zoo.single_param_matrix_data])
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 3)])
+def test_lambda_minus_one_is_confluent_without_a_warning(data, m, n):
+    """lambda = -1 is a unit like any other: every overlap resolves, so the
+    ordered monomials are a basis (the diamond lemma)."""
+    _, p = data(max(m, n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pres = zoo.quantum_matrices(m, n, Coefficient.integer(p.context, -1), p)
+    assert all(r.resolved for r in diamond_check(pres))
 
 
 def test_bad_matrix_size_rejected():
@@ -264,14 +256,11 @@ def test_euclidean_even_tail():
 
 
 def test_every_rule_is_weight_homogeneous():
-    for p in all_suite_presentations():
-        for (j, i), rule in p.rules.items():
-            lhs = [0] * p.ngens
-            lhs[i] += 1
-            lhs[j] += 1
-            w = weight_of(p, lhs)
-            for exp in rule.tail.terms:
-                assert weight_of(p, exp) == w, (p.name, (j, i))
+    """The promise of the module docstring, for every family at sizes 0..4."""
+    for keys, *builds in zoo.FAMILIES.values():
+        for build in filter(None, builds):
+            for args in itertools.product(range(5), repeat=len(keys)):
+                check_homogeneous_rules(build(*args))
 
 
 def test_torus_generators_are_invertible():
