@@ -71,8 +71,12 @@ CASES = [
      "box must be nonnegative"),
     (lambda: qdet.det_commutation_scalar(2, LAM, SPEC, 0, 1), ValueError,
      "indices out of range"),
-    (lambda: zoo.quantum_matrices(2, 2, Coefficient.one(Q), SPEC), zoo.BadMatrix, LAMBDA),
-    (lambda: zoo.quantum_matrices(2, 2, 2 * LAM, SPEC), zoo.BadMatrix, LAMBDA),
+    # one message for every bad lambda; each id names what its lambda lacks
+    pytest.param(lambda: zoo.quantum_matrices(2, 2, Coefficient.one(Q), SPEC), zoo.BadMatrix,
+                 LAMBDA,
+                 id="<lambda>-BadMatrix-lambda must be a coefficient over the parameter context"),
+    pytest.param(lambda: zoo.quantum_matrices(2, 2, 2 * LAM, SPEC), zoo.BadMatrix, LAMBDA,
+                 id="<lambda>-BadMatrix-lambda must be a unit monomial"),
     (lambda: zoo.quantized_weyl([], weyl_gamma()), zoo.BadMatrix,
      "need one q parameter per degree"),
     (lambda: zoo.quantized_weyl([Coefficient.one(Q)], weyl_gamma()), zoo.BadMatrix,
